@@ -16,16 +16,15 @@ from .errors import (
     NotRound,
 )
 from .matroid import (
+    T_MINUS_1,
     ClassPoly,
     Matroid,
-    contract,
-    flats,
+    contraction_char_polys,
     is_connected,
     is_round,
     loops_of,
     matroid_from_bases,
     rank_of,
-    reduced_char_poly,
 )
 
 
@@ -37,18 +36,19 @@ def _projective_space(k: int) -> ClassPoly:
 def motivic_class(m: Matroid) -> ClassPoly:
     """Class of the incidence variety: sum over proper flats F of the reduced
     characteristic polynomial of the contraction, weighted by the class of
-    the projective space of betas vanishing outside rank(complement) directions."""
+    the projective space of betas vanishing outside rank(complement) directions.
+    All the contractions' polynomials come from one sweep of the rank table."""
     if loops_of(m):
         raise HasLoops("matroid has loops")
     if not is_connected(m):
         raise NotConnected("class formula needs a connected matroid")
     full = m.ground
     total = ClassPoly([], "L")
-    for f in flats(m).flats:
+    for f, chi in contraction_char_polys(m).items():
         if f == full:
             continue
         try:
-            chi = reduced_char_poly(contract(m, f)).with_symbol("L")
+            chi = chi.div_exact(T_MINUS_1).with_symbol("L")
         except NonDivisible as exc:
             raise DivisionFailure(str(exc)) from None
         weight = _projective_space(m.n - rank_of(m, full & ~f))

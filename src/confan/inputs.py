@@ -18,7 +18,7 @@ from .config import Configuration, config_from_graph, config_new
 from .errors import ParseError
 from .matroid import (
     Matroid,
-    matroid_from_bases,
+    mask_of,
     matroid_from_graph,
     matroid_from_matrix,
 )
@@ -90,7 +90,9 @@ def parse_graph_text(text: str):
     return edges
 
 
-def bases_from_json(data) -> Matroid:
+def bases_from_json(data, max_n: int | None = None) -> Matroid:
+    """Matroid of a basis list.  The cap is checked after the basis sizes and
+    before the rank table, which takes 2^n steps, validates the bases."""
     try:
         n = int(data["n"])
         bases = [[int(e) for e in b] for b in data["bases"]]
@@ -101,9 +103,12 @@ def bases_from_json(data) -> Matroid:
     if any(not 1 <= e <= n for b in bases for e in b):
         raise ParseError("basis element out of range")
     try:
-        return matroid_from_bases(n, bases)
+        m = Matroid(n, [mask_of(b) for b in bases], check=False)
+        _check_cap(n, max_n)
+        m.check_bases()
     except ValueError as exc:
         raise ParseError("not a matroid: %s" % exc) from None
+    return m
 
 
 def detect_format(path: str) -> str:
@@ -138,9 +143,7 @@ def load_matroid(path: str, fmt: str | None = None, max_n: int | None = None) ->
         _check_cap(len(edges), max_n)
         return matroid_from_graph(edges)
     if fmt == "bases":
-        m = bases_from_json(_load_json(path))
-        _check_cap(m.n, max_n)
-        return m
+        return bases_from_json(_load_json(path), max_n)
     if fmt == "matrix":
         a = matrix_from_json(_load_json(path))
         _check_cap(a.ncols, max_n)

@@ -1,13 +1,16 @@
 """Matroids with explicit basis lists, on ground sets {1..n} stored as bitmasks.
 
-Everything downstream (flats, duality, minors, roundness, characteristic
-polynomials) reads off the basis list, which keeps each query auditable.
-Ground sets are desk scale; the basis list is exponential in n by design.
+Each matroid tabulates the rank of all 2^n subsets once, on its first rank
+query, and keeps the table; closure, loops, coloops, connectivity, roundness,
+minors and characteristic polynomials read from it.  The flat lattice is
+likewise built once per matroid and kept.  Ground sets are desk scale; the
+basis list and the table are exponential in n by design.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from types import MappingProxyType
 
 from .arith import Matrix, matrix_rank
 from .errors import (
@@ -185,9 +188,12 @@ class Matroid:
     n     - ground set size
     r     - rank (common size of all bases)
     bases - frozenset of basis bitmasks
+
+    check=True (the default) validates the bases; the builders from graphs,
+    matrices and uniform parameters pass check=False.
     """
 
-    def __init__(self, n, bases, check=None):
+    def __init__(self, n, bases, check=True):
         if n < 1:
             raise ValueError("ground set must be nonempty")
         bases = frozenset(bases)
@@ -202,33 +208,74 @@ class Matroid:
         self.n = n
         self.r = sizes.pop()
         self.bases = bases
-        if check is None:
-            check = n <= 10
+        self._rank = None
+        self._lattice = None
         if check:
-            self._check_exchange()
+            self.check_bases()
 
-    def _check_exchange(self):
-        for b1 in self.bases:
-            for b2 in self.bases:
-                if b1 == b2:
-                    continue
-                out = b1 & ~b2
-                swap_in = b2 & ~b1
-                while out:
-                    x = out & -out
-                    found = False
-                    rest = swap_in
+    def rank_table(self) -> bytes:
+        """rank_table()[S] is the rank of the subset with bitmask S.
+
+        Built on the first call and kept: the subsets of the bases are the
+        independent sets, and a dependent S has rank max over e in S of
+        rank(S minus e)."""
+        if self._rank is None:
+            size = 1 << self.n
+            indep = bytearray(size)
+            for b in self.bases:
+                indep[b] = 1
+            # descending order: every superset S + e is marked before S is read
+            for s in range(size - 1, 0, -1):
+                if indep[s]:
+                    rest = s
                     while rest:
-                        y = rest & -rest
-                        if (b1 & ~x) | y in self.bases:
-                            found = True
-                            break
-                        rest &= rest - 1
-                    if not found:
+                        low = rest & -rest
+                        indep[s ^ low] = 1
+                        rest ^= low
+            rank = bytearray(size)
+            for s in range(1, size):
+                if indep[s]:
+                    rank[s] = s.bit_count()
+                    continue
+                best = 0
+                rest = s
+                while rest:
+                    low = rest & -rest
+                    if rank[s ^ low] > best:
+                        best = rank[s ^ low]
+                    rest ^= low
+                rank[s] = best
+            self._rank = bytes(rank)
+        return self._rank
+
+    def check_bases(self):
+        """Raise ValueError unless the bases are those of a matroid.
+
+        The table max |B & S| of any family of equal-size sets is monotone
+        with unit steps; it is a matroid rank function, whose bases are then
+        exactly the family, iff r(S+x) + r(S+y) >= r(S+x+y) + r(S) for every S
+        and all x, y outside S.  With unit steps that fails only when x and y
+        each leave r(S) unchanged and together raise it."""
+        rank = self.rank_table()
+        full = self.ground
+        for s in range(full + 1):
+            rs = rank[s]
+            spanned = [
+                1 << e
+                for e in range(self.n)
+                if not s >> e & 1 and rank[s | 1 << e] == rs
+            ]
+            for i, x in enumerate(spanned):
+                for y in spanned[i + 1:]:
+                    if rank[s | x | y] != rs:
                         raise ValueError(
-                            "basis exchange fails for %x, %x" % (b1, b2)
+                            "rank is not submodular at S=%s, x=%d, y=%d"
+                            % (
+                                subset_label(s, self.n),
+                                x.bit_length(),
+                                y.bit_length(),
+                            )
                         )
-                    out &= out - 1
 
     @property
     def ground(self) -> int:
@@ -248,14 +295,15 @@ class Matroid:
 
 class FlatLattice:
     """
-    All flats of a matroid, graded by rank.
+    All flats of a matroid, graded by rank.  flats(m) hands the same lattice
+    to every caller, so it is read-only.
 
     flats - tuple of bitmasks sorted by (rank, mask)
-    rank  - dict flat -> rank
+    rank  - read-only mapping flat -> rank
     """
 
     def __init__(self, flats, rank, n):
-        self.rank = dict(rank)
+        self.rank = MappingProxyType(dict(rank))
         self.flats = tuple(sorted(flats, key=lambda f: (self.rank[f], f)))
         self.n = n
 
@@ -279,15 +327,6 @@ class FlatLattice:
 
     def by_rank(self, k):
         return tuple(f for f in self.flats if self.rank[f] == k)
-
-    def covers(self, f):
-        """Minimal flats strictly containing f."""
-        above = [g for g in self.flats if g != f and g & f == f]
-        return tuple(
-            g
-            for g in above
-            if not any(h != g and h != f and h & f == f and g & h == h for h in above)
-        )
 
 
 def matroid_from_bases(n, bases) -> Matroid:
@@ -362,28 +401,44 @@ def matroid_from_graph(edges) -> Matroid:
 
 
 def rank_of(m: Matroid, s: int) -> int:
-    """Rank of a subset: the largest basis intersection."""
-    return max((b & s).bit_count() for b in m.bases)
+    """Rank of a subset, read from the matroid's rank table."""
+    return m.rank_table()[s]
 
 
 def closure(m: Matroid, s: int) -> int:
-    rk = rank_of(m, s)
+    rank = m.rank_table()
+    rk = rank[s]
     out = s
     for e in range(m.n):
         bit = 1 << e
-        if not s & bit and rank_of(m, s | bit) == rk:
+        if rank[s | bit] == rk:
             out |= bit
     return out
 
 
 def flats(m: Matroid) -> FlatLattice:
-    """Every flat, found by closing all subsets."""
-    found = {}
-    for s in range(1 << m.n):
-        f = closure(m, s)
-        if f not in found:
-            found[f] = rank_of(m, f)
-    return FlatLattice(found.keys(), found, m.n)
+    """Every flat, level by level: the closure of the empty set, then the
+    closures of F + e over the flats F of the level below, which are exactly
+    the flats covering F.  Built once per matroid and kept."""
+    if m._lattice is None:
+        rank = m.rank_table()
+        bottom = closure(m, 0)
+        found = {bottom: rank[bottom]}
+        level = [bottom]
+        while level:
+            above = []
+            for f in level:
+                rest = m.ground & ~f
+                while rest:
+                    g = closure(m, f | (rest & -rest))
+                    # every element of g outside f has the same closure with f
+                    rest &= ~g
+                    if g not in found:
+                        found[g] = rank[g]
+                        above.append(g)
+            level = above
+        m._lattice = FlatLattice(found, found, m.n)
+    return m._lattice
 
 
 def loops_of(m: Matroid) -> int:
@@ -391,7 +446,15 @@ def loops_of(m: Matroid) -> int:
 
 
 def coloops_of(m: Matroid) -> int:
-    return loops_of(dual(m))
+    """Elements e with rank(E minus e) < rank(E)."""
+    rank = m.rank_table()
+    full = m.ground
+    out = 0
+    for e in range(m.n):
+        bit = 1 << e
+        if rank[full & ~bit] < m.r:
+            out |= bit
+    return out
 
 
 def dual(m: Matroid) -> Matroid:
@@ -413,14 +476,15 @@ def _relabel(masks, keep_mask, n):
 
 def delete(m: Matroid, f: int) -> Matroid:
     """Deletion M minus f; surviving elements are renumbered 1..n' in order."""
+    rank = m.rank_table()
     keep = m.ground & ~f
-    if keep == 0 or rank_of(m, keep) == 0:
+    rk = rank[keep]
+    if rk == 0:
         raise EmptyResult("deletion leaves nothing of positive rank")
-    rk = rank_of(m, keep)
     bases = []
     for cols in combinations(elements_of(keep), rk):
         s = mask_of(cols)
-        if rank_of(m, s) == rk:
+        if rank[s] == rk:
             bases.append(s)
     relabeled, n2 = _relabel(bases, keep, m.n)
     return Matroid(n2, relabeled, check=False)
@@ -433,14 +497,14 @@ def contract(m: Matroid, f: int) -> Matroid:
     keep = m.ground & ~f
     if keep == 0:
         raise EmptyResult("contracting the whole ground set")
-    rf = rank_of(m, f)
-    rk = m.r - rf
+    rank = m.rank_table()
+    rk = m.r - rank[f]
     if rk == 0:
         raise EmptyResult("contraction has rank zero")
     bases = []
     for cols in combinations(elements_of(keep), rk):
         s = mask_of(cols)
-        if rank_of(m, s | f) == m.r:
+        if rank[s | f] == m.r:
             bases.append(s)
     relabeled, n2 = _relabel(bases, keep, m.n)
     return Matroid(n2, relabeled, check=False)
@@ -448,37 +512,63 @@ def contract(m: Matroid, f: int) -> Matroid:
 
 def is_connected(m: Matroid) -> bool:
     """No partition E = E1 | E2 with rank(E1) + rank(E2) = rank(E), both parts nonempty."""
+    rank = m.rank_table()
     full = m.ground
     for s in range(1, 1 << (m.n - 1)):
-        if rank_of(m, s) + rank_of(m, full & ~s) == m.r:
+        if rank[s] + rank[full & ~s] == m.r:
             return False
     return True
 
 
 def is_round(m: Matroid) -> bool:
     """rank(E minus F) = rank(E) for every proper flat F, the empty closure included."""
+    rank = m.rank_table()
     full = m.ground
     for f in flats(m).proper():
-        if rank_of(m, full & ~f) < m.r:
+        if rank[full & ~f] < m.r:
             return False
     return True
 
 
 def char_poly(m: Matroid) -> ClassPoly:
-    """Characteristic polynomial via Moebius recursion on the flat lattice."""
+    """Characteristic polynomial by Whitney's theorem: the sum over all
+    subsets S of (-1)^|S| t^(r - rank S)."""
     if loops_of(m) != 0:
         raise HasLoops("characteristic polynomial of a matroid with loops")
-    lattice = flats(m)
-    mu = {}
-    for f in lattice.flats:
-        below = sum(mu[g] for g in lattice.flats if g != f and g & f == g)
-        mu[f] = 1 if f == 0 else -below
     coeffs = [0] * (m.r + 1)
-    for f in lattice.flats:
-        coeffs[m.r - lattice.rank[f]] += mu[f]
+    for s, rk in enumerate(m.rank_table()):
+        coeffs[m.r - rk] += -1 if s.bit_count() & 1 else 1
     return ClassPoly(coeffs, "t")
+
+
+def contraction_char_polys(m: Matroid) -> dict:
+    """Flat F -> characteristic polynomial of M/F, for every flat at once.
+
+    By Whitney's theorem on M/F, chi(M/F) is the sum over the subsets S
+    containing F of (-1)^|S - F| t^(r - rank S).  One sweep per element adds
+    each subset's sum into the subset without that element, which gives the
+    sum over all supersets of every subset in n 2^(n-1) steps."""
+    rank = m.rank_table()
+    size = 1 << m.n
+    sums = []
+    for s in range(size):
+        term = [0] * (m.r + 1)
+        term[m.r - rank[s]] = -1 if s.bit_count() & 1 else 1
+        sums.append(term)
+    for e in range(m.n):
+        bit = 1 << e
+        for s in range(size):
+            if not s & bit:
+                sums[s] = [a + b for a, b in zip(sums[s], sums[s | bit])]
+    return {
+        f: ClassPoly(sums[f], "t") * (-1 if f.bit_count() & 1 else 1)
+        for f in flats(m)
+    }
+
+
+T_MINUS_1 = ClassPoly([-1, 1], "t")
 
 
 def reduced_char_poly(m: Matroid) -> ClassPoly:
     """char_poly divided exactly by (t - 1)."""
-    return char_poly(m).div_exact(ClassPoly([-1, 1], "t"))
+    return char_poly(m).div_exact(T_MINUS_1)

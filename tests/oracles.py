@@ -45,6 +45,56 @@ def rank_from_bases(n, bases):
     return rank
 
 
+def flats_by_closure(n, rank_fn):
+    """Every flat with its rank, found by closing each of the 2^n subsets."""
+    ground = range(1, n + 1)
+    out = {}
+    for k in range(n + 1):
+        for combo in combinations(ground, k):
+            subset = frozenset(combo)
+            rk = rank_fn(subset)
+            out[frozenset(e for e in ground if rank_fn(subset | {e}) == rk)] = rk
+    return out
+
+
+def mobius_char_poly(n, rank_fn):
+    """Characteristic polynomial of a loopless matroid from its flat lattice:
+    chi(t) = sum over flats G of mu(empty, G) t^(r - rank(G)), with
+    mu(empty, empty) = 1 and mu(empty, G) = -sum of mu(empty, H) over the
+    flats H strictly inside G.  Returns ascending coefficients."""
+    lattice = flats_by_closure(n, rank_fn)
+    r = rank_fn(frozenset(range(1, n + 1)))
+    mu = {}
+    for g in sorted(lattice, key=len):
+        mu[g] = 1 if not g else -sum(v for h, v in mu.items() if h < g)
+    coeffs = [0] * (r + 1)
+    for g, v in mu.items():
+        coeffs[r - lattice[g]] += v
+    return coeffs
+
+
+def proper_colorings(vertices, edges, q):
+    """Number of colourings of the vertices with q colours in which no edge
+    joins two vertices of the same colour."""
+    index = {v: i for i, v in enumerate(vertices)}
+    return sum(
+        all(colour[index[u]] != colour[index[v]] for u, v in edges)
+        for colour in product(range(q), repeat=len(vertices))
+    )
+
+
+def satisfies_basis_exchange(bases):
+    """For all bases B1, B2 and x in B1 - B2 some y in B2 - B1 makes
+    B1 - x + y a basis."""
+    family = {frozenset(b) for b in bases}
+    return all(
+        any((b1 - {x}) | {y} in family for y in b2 - b1)
+        for b1 in family
+        for b2 in family
+        for x in b1 - b2
+    )
+
+
 def spanning_tree_count(vertices, edges):
     """Kirchhoff count via the reduced Laplacian, Fraction arithmetic."""
     verts = sorted(vertices)

@@ -1,7 +1,10 @@
+from itertools import combinations
+
 import pytest
 
 from confan.classes import (
     BiDegree,
+    _wheel_example_matroid,
     a_invariant,
     chow_bidegree,
     cohomology_basis,
@@ -14,14 +17,49 @@ from confan.config import psi_basis_expansion
 from confan.errors import Degenerate, HasLoops, NotConnected, NotRound
 from confan.matroid import (
     ClassPoly,
+    contract,
+    flats,
     matroid_from_bases,
+    matroid_from_graph,
+    rank_of,
+    reduced_char_poly,
     uniform_matroid,
 )
 
 from .oracles import biprojective_incidence_count, projective_hypersurface_count
 
 
+def contraction_route(m):
+    """[Lambda] as the sum over proper flats F of the reduced characteristic
+    polynomial of M/F, each contraction built as a matroid with its own
+    lattice, times [P^(n - rank(E minus F) - 1)]."""
+    total = ClassPoly([], "L")
+    for f in flats(m).proper():
+        chi = reduced_char_poly(contract(m, f)).with_symbol("L")
+        total = total + chi * ClassPoly([1] * (m.n - rank_of(m, m.ground & ~f)), "L")
+    return total
+
+
+def wheel_graph(k):
+    return [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+
+
 class TestMotivicClass:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: matroid_from_graph([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]),
+            lambda: matroid_from_graph(list(combinations(range(4), 2))),
+            lambda: matroid_from_graph(wheel_graph(4)),
+            lambda: uniform_matroid(3, 6),
+            _wheel_example_matroid,
+        ],
+        ids=["square-chord", "K4", "W4", "U36", "wheel-example"],
+    )
+    def test_equals_contraction_route(self, build):
+        m = build()
+        assert motivic_class(m) == contraction_route(m)
+
     def test_square_chord_frozen(self, square_chord_matroid):
         assert motivic_class(square_chord_matroid) == ClassPoly([1, 2, 4, 1], "L")
 

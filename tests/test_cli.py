@@ -9,6 +9,7 @@ import pytest
 from confan.charp import certificate_from_json
 from confan.cli import main
 from confan.fans import delta_tilde_fan, fan_from_json
+from confan.matroid import Matroid
 
 
 def run_cli(capsys, *argv):
@@ -59,6 +60,35 @@ class TestMatroidInfo:
         )
         assert code == 2
         assert "CONFIG_RESOLVE_MAX_N" in err
+
+    @pytest.mark.parametrize("n", [10, 11, 12])
+    def test_non_matroid_bases_exit_2(self, capsys, tmp_path, n):
+        path = tmp_path / "pairs.bases.json"
+        path.write_text(json.dumps({"n": n, "bases": [[1, 2], [3, 4]]}))
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: not a matroid:")
+
+    @pytest.mark.parametrize(
+        "bases", [[[1]], [[1, 2], [3, 4]]], ids=["matroid", "non-matroid"]
+    )
+    def test_bases_above_cap_exit_2_before_any_rank_table(
+        self, capsys, tmp_path, monkeypatch, bases
+    ):
+        def no_table(self):
+            raise AssertionError("rank table built for an input above the cap")
+
+        monkeypatch.delenv("CONFIG_RESOLVE_MAX_N", raising=False)
+        monkeypatch.setattr(Matroid, "rank_table", no_table)
+        path = tmp_path / "wide.bases.json"
+        path.write_text(json.dumps({"n": 40, "bases": bases}))
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "parse error: ground set size 40 exceeds the cap 12 (CONFIG_RESOLVE_MAX_N)\n"
+        )
 
     def test_seed_echo(self, capsys, data_dir):
         code, out, _ = run_cli(
@@ -224,6 +254,15 @@ class TestClasses:
 
 
 class TestCharp:
+    def test_matrix_commands_build_no_rank_table(self, capsys, data_dir, monkeypatch):
+        def refuse(self):
+            raise AssertionError("rank table built")
+
+        monkeypatch.setattr(Matroid, "rank_table", refuse)
+        matrix = str(data_dir / "square_chord.mat.json")
+        assert run_cli(capsys, "psi", matrix, "--check-det")[0] == 0
+        assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
+
     def test_square_chord_p2_strict(self, capsys, data_dir):
         code, out, _ = run_cli(
             capsys, "charp", str(data_dir / "square_chord.mat.json"),

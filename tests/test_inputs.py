@@ -84,6 +84,15 @@ class TestBasesJson:
         with pytest.raises(ParseError):
             bases_from_json({"n": 4, "bases": [[1, 2], [3, 4]]})
 
+    def test_error_order_around_the_cap(self):
+        # unequal sizes are found before the cap, exchange failures after it
+        with pytest.raises(ParseError, match="not a matroid: bases of unequal size"):
+            bases_from_json({"n": 20, "bases": [[1], [2, 3]]}, max_n=12)
+        with pytest.raises(ParseError, match="exceeds the cap 12"):
+            bases_from_json({"n": 20, "bases": [[1, 2], [3, 4]]}, max_n=12)
+        with pytest.raises(ParseError, match="not a matroid: rank is not submodular"):
+            bases_from_json({"n": 12, "bases": [[1, 2], [3, 4]]}, max_n=12)
+
 
 class TestDetectAndLoad:
     def test_detection(self):

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from confan.arith import Matrix
-from confan.errors import NonDivisible
+from confan.errors import Degenerate, DisconnectedGraph, NonDivisible, RankDeficient
 from confan.matroid import (
     ClassPoly,
     Matroid,
@@ -14,6 +15,7 @@ from confan.matroid import (
     closure,
     coloops_of,
     contract,
+    contraction_char_polys,
     delete,
     dual,
     elements_of,
@@ -32,7 +34,31 @@ from confan.matroid import (
     uniform_matroid,
 )
 
-from .oracles import rank_from_bases, whitney_char_poly
+from .oracles import (
+    flats_by_closure,
+    mobius_char_poly,
+    proper_colorings,
+    rank_from_bases,
+    satisfies_basis_exchange,
+    whitney_char_poly,
+)
+
+
+def k4():
+    return matroid_from_graph([(a, b) for a, b in combinations("abcd", 2)])
+
+
+def assert_table_and_flats_match_oracles(m):
+    rank = rank_from_bases(m.n, [set(elements_of(b)) for b in m.bases])
+    table = m.rank_table()
+    assert len(table) == 1 << m.n
+    for s in range(1 << m.n):
+        assert table[s] == rank(frozenset(elements_of(s))), subset_label(s, m.n)
+    lattice = flats(m)
+    assert {frozenset(elements_of(f)): lattice.rank[f] for f in lattice} == (
+        flats_by_closure(m.n, rank)
+    )
+    assert list(lattice.flats) == sorted(lattice.flats, key=lambda f: (lattice.rank[f], f))
 
 
 class TestLabels:
@@ -163,6 +189,40 @@ class TestCharPoly:
         oracle = whitney_char_poly(m.n, rank_from_bases(m.n, bases))
         assert list(char_poly(m).coeffs) == oracle
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_char_poly_matches_mobius_route(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n - 1)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(r)]
+        try:
+            m = matroid_from_matrix(Matrix(rows))
+        except (RankDeficient, Degenerate):
+            return  # rank deficient; draw again next example
+        if loops_of(m):
+            return  # char_poly rejects loops by design
+        bases = [set(elements_of(b)) for b in m.bases]
+        oracle = mobius_char_poly(m.n, rank_from_bases(m.n, bases))
+        assert list(char_poly(m).coeffs) == oracle
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)],
+            list(combinations("abcd", 2)),
+            [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)],
+        ],
+        ids=["square-chord", "K4", "W4"],
+    )
+    def test_graph_char_poly_counts_colorings(self, edges):
+        # t * chi(t) is the chromatic polynomial of a connected graph; both
+        # sides have degree |V|, so agreeing at |V| + 1 points pins it
+        vertices = sorted({v for e in edges for v in e}, key=str)
+        chi = char_poly(matroid_from_graph(edges))
+        for q in range(len(vertices) + 1):
+            assert q * chi.evaluate(q) == proper_colorings(vertices, edges, q)
+
     def test_uniform_char_poly_oracle(self):
         for r, n in ((2, 4), (2, 5), (3, 5), (3, 6)):
             m = uniform_matroid(r, n)
@@ -195,3 +255,122 @@ class TestMatroidValidation:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValueError):
             matroid_from_bases(3, [(1,), (1, 2)])
+
+
+class TestRankTable:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: matroid_from_graph([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]),
+            k4,
+            lambda: matroid_from_graph(
+                [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)]
+            ),
+            lambda: uniform_matroid(3, 6),
+        ],
+        ids=["square-chord", "K4", "W4", "U36"],
+    )
+    def test_matches_oracles(self, build):
+        assert_table_and_flats_match_oracles(build())
+
+    def test_loops_and_coloops(self):
+        # a loop (3), two coloops (1, 2) and a parallel pair (4, 5)
+        m = matroid_from_bases(5, [(1, 2, 4), (1, 2, 5)])
+        assert_table_and_flats_match_oracles(m)
+        assert loops_of(m) == mask_of([3])
+        assert coloops_of(m) == mask_of([1, 2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=8))
+    def test_random_graphs(self, edges):
+        try:
+            m = matroid_from_graph(edges)
+        except (DisconnectedGraph, Degenerate):
+            return
+        assert_table_and_flats_match_oracles(m)
+        assert coloops_of(m) == loops_of(dual(m))
+
+    def test_is_built_once_and_read_only(self, square_chord_matroid):
+        m = square_chord_matroid
+        assert m.rank_table() is m.rank_table()
+        with pytest.raises(TypeError):
+            m.rank_table()[0] = 1
+
+
+class TestFlatCache:
+    def test_same_lattice_every_call(self):
+        m = k4()
+        assert flats(m) is flats(m)
+
+    def test_writes_raise(self):
+        lattice = flats(k4())
+        with pytest.raises(TypeError):
+            lattice.rank[0] = 5
+        with pytest.raises(AttributeError):
+            lattice.flats.append(0)
+        assert lattice.rank[0] == 0
+
+
+class TestContractionCharPolys:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: matroid_from_graph([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]),
+            k4,
+            lambda: matroid_from_graph(
+                [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)]
+            ),
+            lambda: uniform_matroid(3, 6),
+        ],
+        ids=["square-chord", "K4", "W4", "U36"],
+    )
+    def test_every_flat_matches_its_contraction(self, build):
+        m = build()
+        polys = contraction_char_polys(m)
+        assert list(polys) == list(flats(m))
+        assert polys[m.ground] == ClassPoly([1], "t")
+        assert polys[0] == char_poly(m)
+        for f in flats(m).proper():
+            minor = contract(m, f)
+            bases = [set(elements_of(b)) for b in minor.bases]
+            assert list(polys[f].coeffs) == mobius_char_poly(
+                minor.n, rank_from_bases(minor.n, bases)
+            )
+
+
+class TestBasisValidation:
+    @pytest.mark.parametrize("n", [4, 10, 11, 12])
+    def test_two_disjoint_pairs_rejected_at_every_size(self, n):
+        with pytest.raises(ValueError, match="not submodular at S=1, x=3, y=4"):
+            matroid_from_bases(n, [(1, 2), (3, 4)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 9))
+    def test_accepts_exactly_the_basis_exchange_families(self, seed):
+        # families near a matroid: the bases of a random column matroid with
+        # one r-subset added or removed, so that violations can hide at large S
+        rng = random.Random(seed)
+        n = rng.randint(2, 6)
+        r = rng.randint(1, n - 1)
+        rows = [[rng.randint(-1, 1) for _ in range(n)] for _ in range(r)]
+        try:
+            m = matroid_from_matrix(Matrix(rows))
+        except (RankDeficient, Degenerate):
+            return  # rank deficient; draw again next example
+        bases = {frozenset(elements_of(b)) for b in m.bases}
+        bases ^= {frozenset(rng.choice(list(combinations(range(1, n + 1), r))))}
+        if not bases:
+            return
+        try:
+            matroid_from_bases(n, bases)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == satisfies_basis_exchange(bases)
+
+    def test_u6_12_as_bases_is_fast(self):
+        bases = list(combinations(range(1, 13), 6))
+        start = time.perf_counter()
+        m = matroid_from_bases(12, bases)
+        assert time.perf_counter() - start < 1.0
+        assert len(m.bases) == 924
