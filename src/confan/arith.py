@@ -15,6 +15,17 @@ from .errors import NonSquare, ZeroPolynomial
 Monomial = tuple  # dense exponent vector, one entry per variable
 
 
+def _is_prime(p: int) -> bool:
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
 class Fp:
     """Element of the prime field F_p, stored as a residue in [0, p)."""
 
@@ -390,6 +401,7 @@ def _rref(m: Matrix):
 
 
 def _promote_div(a, b):
+    """a / b, exact: two ints give a Fraction, other scalars divide as they are."""
     if isinstance(a, int) and isinstance(b, int):
         return Fraction(a, b)
     return a / b

@@ -7,7 +7,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arith import Fp, Matrix, MultiPoly, TermOrder, _rref, poly_lead_term
+from .arith import (
+    Fp,
+    Matrix,
+    MultiPoly,
+    TermOrder,
+    _is_prime,
+    _promote_div,
+    _rref,
+    poly_lead_term,
+)
 from .config import (
     Configuration,
     config_new,
@@ -145,17 +154,6 @@ def lead_term_certificate(c: Configuration) -> Certificate:
     )
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
     rows = []
     for row in c.a.rows:
@@ -224,12 +222,6 @@ def linkage_generators(c: Configuration):
 # ---------------------------------------------------------------------------
 
 
-def _coeff_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return Fraction(a, b)
-    return a / b
-
-
 def _mono_divides(m, f) -> bool:
     return all(a <= b for a, b in zip(m, f))
 
@@ -266,7 +258,7 @@ def divide_remainder(f: MultiPoly, basis, order: TermOrder) -> MultiPoly:
             work = work - t
         else:
             g, gm, gc = hit
-            work = work - _term_mul(g, _mono_sub(mono, gm), _coeff_div(coeff, gc))
+            work = work - _term_mul(g, _mono_sub(mono, gm), _promote_div(coeff, gc))
     return remainder
 
 
@@ -283,8 +275,8 @@ def spair_reduction_check(c: Configuration) -> bool:
         for j in range(i + 1, len(qs)):
             mj, cj = poly_lead_term(qs[j], order)
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-            s = _term_mul(qs[i], _mono_sub(lcm, mi), _coeff_div(1, ci)) - _term_mul(
-                qs[j], _mono_sub(lcm, mj), _coeff_div(1, cj)
+            s = _term_mul(qs[i], _mono_sub(lcm, mi), _promote_div(1, ci)) - _term_mul(
+                qs[j], _mono_sub(lcm, mj), _promote_div(1, cj)
             )
             if divide_remainder(s, qs, order).terms:
                 return False

@@ -150,11 +150,13 @@ def cmd_fan(args, cap):
     failures = []
     verify = {}
     if args.verify_unimodular:
-        bad = [c for c in fan.cones if not is_unimodular(fan, c)]
+        # a face of a unimodular simplicial cone is unimodular: its
+        # generators are part of a lattice basis
+        bad = [c for c in maxes if not is_unimodular(fan, c)]
         verify["unimodular"] = "pass" if not bad else "fail"
         if bad:
             failures.append(
-                "unimodular: FAIL on %d cones, e.g. rays %s"
+                "unimodular: FAIL on %d maximal cones, e.g. rays %s"
                 % (len(bad), sorted(bad[0]))
             )
         else:

@@ -14,7 +14,16 @@ from fractions import Fraction
 from itertools import combinations
 from random import Random
 
-from .arith import Fp, Matrix, MultiPoly, det, kernel_basis, matrix_rank, solve_exact
+from .arith import (
+    Fp,
+    Matrix,
+    MultiPoly,
+    _promote_div,
+    det,
+    kernel_basis,
+    matrix_rank,
+    solve_exact,
+)
 from .errors import (
     Degenerate,
     DisconnectedGraph,
@@ -334,12 +343,6 @@ def dual_config(c: Configuration) -> Configuration:
     return config_new(Matrix(rows, ncols=c.n))
 
 
-def _invert(x):
-    if isinstance(x, int):
-        return Fraction(1, x)
-    return 1 / x
-
-
 def duality_map(c: Configuration, p: Point) -> Point:
     """(v, beta) -> (beta v coordinatewise, 1/beta); lands on the dual incidence variety."""
     if p.beta is None or any(not b for b in p.beta):
@@ -348,7 +351,7 @@ def duality_map(c: Configuration, p: Point) -> Point:
     if not on_lambda(c, p):
         raise NotOnLambda("point does not satisfy the incidence equations")
     image_v = [b * x for b, x in zip(p.beta, v)]
-    image_beta = [_invert(b) for b in p.beta]
+    image_beta = [_promote_div(1, b) for b in p.beta]
     return Point(v=image_v, beta=image_beta)
 
 
@@ -465,9 +468,6 @@ def sample_torus_point(c: Configuration, rng: Random) -> Point:
             zp = [rng.randint(-9, 9) for _ in range(c0.nrows)]
             gamma = c0.transpose().apply(zp)
             if all(gamma):
-                beta = [
-                    Fraction(g, x) if isinstance(g, int) and isinstance(x, int) else g / x
-                    for g, x in zip(gamma, v)
-                ]
+                beta = [_promote_div(g, x) for g, x in zip(gamma, v)]
                 return Point(w=z, v=v, beta=beta)
     raise ValueError("sampling failed to find a torus point")

@@ -87,11 +87,6 @@ class LatticeVector:
     def __neg__(self):
         return LatticeVector(tuple(-a for a in self.e), tuple(-a for a in self.f))
 
-    def scale(self, k: int):
-        if k < 0:
-            return (-self).scale(-k)
-        return LatticeVector(tuple(k * a for a in self.e), tuple(k * a for a in self.f))
-
     def coords(self):
         """Image in Z^(2n-2): subtract the last entry of each block and drop it."""
         return tuple(a - self.e[-1] for a in self.e[:-1]) + tuple(
@@ -143,28 +138,51 @@ def mu_apply(v: LatticeVector, direction: str) -> LatticeVector:
     raise ValueError("direction must be 'forward' or 'minus'")
 
 
+def _faces(cone):
+    """Every face of a simplicial cone: all subsets of its ray indices."""
+    out = [frozenset()]
+    for i in cone:
+        out += [f | {i} for f in out]
+    return out
+
+
 class Fan:
     """
-    Simplicial fan presented by rays and index sets.
+    Simplicial fan presented by rays and its maximal cones.
 
     n        - ground-set size (length of each lattice block)
     rays     - tuple of primitive LatticeVector
     labels   - tuple of ray labels
-    cones    - frozenset of frozensets of ray indices, closed under faces;
-               always contains the empty set (the origin)
+    maximal  - tuple of the inclusion-maximal cones, frozensets of ray
+               indices sorted by their sorted members; the trivial fan keeps
+               the origin (the empty set)
     ray_data - optional tuple of (F, G) mask pairs when rays index biflats
+
+    The cones passed in may be any family whose faces are the fan's cones;
+    the members that lie in no other member are kept.
     """
 
-    __slots__ = ("n", "rays", "labels", "cones", "ray_data")
+    __slots__ = ("n", "rays", "labels", "maximal", "ray_data")
 
     def __init__(self, n, rays, labels, cones, ray_data=None):
         self.n = n
         self.rays = tuple(rays)
         self.labels = tuple(labels)
-        cones = {frozenset(c) for c in cones}
-        cones.add(frozenset())
-        self.cones = frozenset(cones)
+        cones = {frozenset(c) for c in cones} | {frozenset()}
+        covered = set()
+        maximal = []
+        # largest first, so every cone containing c is seen before c
+        for c in sorted(cones, key=len, reverse=True):
+            if c not in covered:
+                maximal.append(c)
+                covered.update(_faces(c))
+        self.maximal = tuple(sorted(maximal, key=sorted))
         self.ray_data = None if ray_data is None else tuple(ray_data)
+
+    @property
+    def cones(self):
+        """Every cone of the fan, the origin included."""
+        return frozenset(f for c in self.maximal for f in _faces(c))
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -177,7 +195,7 @@ class Fan:
         def keyed(fan):
             order = sorted(range(len(fan.rays)), key=lambda i: (fan.rays[i].e, fan.rays[i].f))
             back = {old: new for new, old in enumerate(order)}
-            cones = {frozenset(back[i] for i in c) for c in fan.cones}
+            cones = {frozenset(back[i] for i in c) for c in fan.maximal}
             labels = tuple(fan.labels[i] for i in order)
             return cones, labels
 
@@ -187,12 +205,7 @@ class Fan:
         return hash((self.n, frozenset(self.rays)))
 
     def maximal_cones(self):
-        out = [
-            c
-            for c in self.cones
-            if not any(c < d for d in self.cones)
-        ]
-        return sorted(out, key=lambda c: sorted(c))
+        return self.maximal
 
     def cone_dim(self, cone) -> int:
         if not cone:
@@ -211,22 +224,24 @@ def count_maximal_cones(f: Fan) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _chains(items, below):
-    """All chains in a finite poset, as tuples in decreasing order.
+def _chains(items, below, admissible=lambda chain: True):
+    """All admissible chains in a finite poset, as index tuples in decreasing
+    order, the empty chain included.
 
-    items is a sequence; below(a, b) means a is strictly below b.  Yields the
-    empty chain too.
+    items is a sequence; below(a, b) means a is strictly below b.  Every
+    subchain of an admissible chain must be admissible (a fan's cones are
+    closed under faces), so the search stops at the first rejected chain.
     """
     n = len(items)
-    stack = [((), None)]
+    lower = [[i for i in range(n) if below(items[i], items[j])] for j in range(n)]
+    stack = [()]
     while stack:
-        chain, last = stack.pop()
+        chain = stack.pop()
         yield chain
-        for i in range(n):
-            if i in chain:
-                continue
-            if last is None or below(items[i], items[last]):
-                stack.append((chain + (i,), i))
+        for i in lower[chain[-1]] if chain else range(n):
+            longer = chain + (i,)
+            if admissible(longer):
+                stack.append(longer)
 
 
 def bergman_fan(m: Matroid) -> Fan:
@@ -236,18 +251,7 @@ def bergman_fan(m: Matroid) -> Fan:
     props = flats(m).nonempty_proper()
     rays = [lattice_e(f, m.n) for f in props]
     labels = [subset_label(f, m.n) for f in props]
-    cones = set()
-    order = {f: i for i, f in enumerate(props)}
-
-    # iterative chain enumeration; flags ordered decreasing
-    stack = [((), None)]
-    while stack:
-        chain, last = stack.pop()
-        cones.add(frozenset(chain))
-        for f in props:
-            if last is not None and not (f != last and f & last == f):
-                continue
-            stack.append((chain + (order[f],), f))
+    cones = _chains(props, lambda a, b: a != b and a & b == a)
     return Fan(m.n, rays, labels, cones)
 
 
@@ -283,26 +287,17 @@ def square_conormal_fan(m: Matroid) -> Fan:
     full = m.ground
     rays = [biflat_ray(f, g, n).primitive() for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
-    cones = set()
-    k = len(pairs)
 
-    def leq(a, b):
-        return a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
+    def below(a, b):
+        return a != b and a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
 
-    stack = [((), None, 0)]
-    while stack:
-        chain, last, union = stack.pop()
-        cones.add(frozenset(chain))
-        for i in range(k):
-            p = pairs[i]
-            if i in chain:
-                continue
-            if last is not None and (p == pairs[last] or not leq(p, pairs[last])):
-                continue
-            u = union | (p[1] & ~p[0])
-            if u == full:
-                continue
-            stack.append((chain + (i,), i, u))
+    def admissible(chain):
+        union = 0
+        for i in chain:
+            union |= pairs[i][1] & ~pairs[i][0]
+        return union != full
+
+    cones = _chains(pairs, below, admissible)
     return Fan(n, rays, labels, cones, ray_data=pairs)
 
 
@@ -311,7 +306,7 @@ def delta_tilde_fan(m: Matroid) -> Fan:
     rays become e_F - f_(G minus F)."""
     base = square_conormal_fan(m)
     rays = [mu_apply(v, "minus").primitive() for v in base.rays]
-    return Fan(base.n, rays, base.labels, base.cones, ray_data=base.ray_data)
+    return Fan(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
 
 
 def delta_fan(m: Matroid) -> Fan:
@@ -332,10 +327,9 @@ def delta_fan(m: Matroid) -> Fan:
         shifted = LatticeVector((0,) * n, v.e)
         rays.append(mu_apply(shifted, "minus").primitive())
         labels.append("*" + lab)
-    cones = set()
-    for c1 in left.cones:
-        for c2 in right.cones:
-            cones.add(frozenset(c1) | frozenset(i + off for i in c2))
+    cones = [
+        c1 | {i + off for i in c2} for c1 in left.maximal for c2 in right.maximal
+    ]
     return Fan(n, rays, labels, cones)
 
 
@@ -526,13 +520,10 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
         for i, (f, g) in enumerate(big.ray_data)
         if f & ~flat == 0 and (g & ~f) & ~subset == 0
     ]
-    keep_set = set(keep)
     reindex = {old: new for new, old in enumerate(keep)}
-    cones = {
-        frozenset(reindex[i] for i in c)
-        for c in big.cones
-        if set(c) <= keep_set
-    }
+    # a face of the big fan with every ray kept lies in the kept part of a
+    # maximal cone, so those restrictions carry every face of the subfan
+    cones = [frozenset(reindex[i] for i in c if i in reindex) for c in big.maximal]
     return Fan(
         m.n,
         [big.rays[i] for i in keep],
@@ -548,12 +539,9 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
 
 
 def fan_to_json(fan: Fan) -> dict:
-    """Plain-dict form: rays with both blocks, cones maximal-first."""
-    maxes = {frozenset(c) for c in fan.maximal_cones()}
-    ordered = sorted(
-        fan.cones,
-        key=lambda c: (frozenset(c) not in maxes, -len(c), sorted(c)),
-    )
+    """Plain-dict form: rays with both blocks, every cone, maximal-first."""
+    maxes = set(fan.maximal)
+    ordered = sorted(fan.cones, key=lambda c: (c not in maxes, -len(c), sorted(c)))
     return {
         "n": fan.n,
         "rays": [
@@ -572,6 +560,10 @@ def fan_from_json(data) -> Fan:
         cones = [frozenset(int(i) for i in c) for c in data["cones"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad fan JSON: %s" % exc) from None
+    if n < 1:
+        raise ParseError("bad fan JSON: n must be positive, got %d" % n)
+    if any(v.n != n for v in rays):
+        raise ParseError("bad fan JSON: ray blocks must have length n = %d" % n)
     for c in cones:
         if any(i < 0 or i >= len(rays) for i in c):
             raise ParseError("cone references a missing ray")

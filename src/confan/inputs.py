@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .arith import Fp, Matrix, MultiPoly
+from .arith import Fp, Matrix, MultiPoly, _is_prime
 from .config import Configuration, config_from_graph, config_new
 from .errors import ParseError
 from .matroid import (
@@ -22,17 +22,6 @@ from .matroid import (
     matroid_from_graph,
     matroid_from_matrix,
 )
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def parse_scalar(text, field: str = "Q", p: int | None = None):

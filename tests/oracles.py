@@ -73,6 +73,100 @@ def mobius_char_poly(n, rank_fn):
     return coeffs
 
 
+def chain_faces(items, below, admissible=lambda chain: True):
+    """Every admissible chain of a finite poset, as a frozenset of items,
+    found level by level: a chain of k + 1 items is a chain of k items plus
+    one item comparable to each of them.  below(a, b) means a < b strictly;
+    admissible takes the frozenset."""
+    level = {frozenset()}
+    out = set(level)
+    while level:
+        level = {
+            c | {x}
+            for c in level
+            for x in items
+            if x not in c
+            and all(below(x, y) or below(y, x) for y in c)
+            and admissible(c | {x})
+        }
+        out |= level
+    return out
+
+
+def maximal_by_pairwise_scan(cones):
+    """The members of a family of sets that lie in no other member, by
+    comparing every pair."""
+    return [c for c in cones if not any(c < d for d in cones)]
+
+
+def _ray(x, y):
+    """A vector of (Z^n / Z(1,...,1))^2 as its min-zero representative."""
+    return tuple(a - min(x) for a in x), tuple(b - min(y) for b in y)
+
+
+def fan_faces(which, n, bases):
+    """Faces of one of the four fans of the loopless, coloopless matroid with
+    these bases, from the definitions, by brute force over its flats.
+
+    Returns (faces, vector): each face is a frozenset of ray keys, and
+    vector[key] is the ray as a pair of min-zero blocks (e, f).  Keys are the
+    flats F (bergman), ("", F) and ("*", G) for the flats of the matroid and
+    of its dual (delta), and square biflats (F, G) (square-conormal,
+    delta-tilde); sets are frozensets of elements 1..n.
+    """
+    full = frozenset(range(1, n + 1))
+    rank = rank_from_bases(n, bases)
+    r = rank(full)
+    lattice = flats_by_closure(n, rank)
+    dual_lattice = flats_by_closure(n, lambda s: len(s) - r + rank(full - s))
+
+    def ind(s):
+        return tuple(1 if e in s else 0 for e in range(1, n + 1))
+
+    def strictly_inside(a, b):
+        return a < b
+
+    props = [f for f in lattice if f and f != full]
+    dual_props = [g for g in dual_lattice if g and g != full]
+    if which == "bergman":
+        vector = {f: _ray(ind(f), (0,) * n) for f in props}
+        return chain_faces(props, strictly_inside), vector
+    if which == "delta":
+        # negative shear (x, y) -> (-x, -x - y) of (-e_F, 0) and of (0, e_G)
+        vector = {("", f): _ray(ind(f), ind(f)) for f in props}
+        vector.update(
+            {("*", g): _ray((0,) * n, [-a for a in ind(g)]) for g in dual_props}
+        )
+        left = chain_faces([("", f) for f in props], lambda a, b: a[1] < b[1])
+        right = chain_faces([("*", g) for g in dual_props], lambda a, b: a[1] < b[1])
+        return {a | b for a in left for b in right}, vector
+    pairs = [
+        (f, g)
+        for f in lattice
+        if f != full
+        for g in dual_lattice
+        if g and f <= g and not (not f and g == full)
+    ]
+
+    def below(a, b):
+        return a != b and a[0] <= b[0] and a[1] <= b[1]
+
+    def admissible(chain):
+        return frozenset().union(*(g - f for f, g in chain)) != full
+
+    if which == "square-conormal":
+        vector = {(f, g): _ray([-a for a in ind(f)], ind(g)) for f, g in pairs}
+    elif which == "delta-tilde":
+        # negative shear of -e_F + f_G: (e_F, e_F - e_G)
+        vector = {
+            (f, g): _ray(ind(f), [a - b for a, b in zip(ind(f), ind(g))])
+            for f, g in pairs
+        }
+    else:
+        raise ValueError(which)
+    return chain_faces(pairs, below, admissible), vector
+
+
 def proper_colorings(vertices, edges, q):
     """Number of colourings of the vertices with q colours in which no edge
     joins two vertices of the same colour."""

@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from confan.charp import certificate_from_json
-from confan.cli import main
-from confan.fans import delta_tilde_fan, fan_from_json
+from confan.cli import FAN_BUILDERS, main
+from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
 from confan.matroid import Matroid
 
 
@@ -149,6 +149,24 @@ class TestFan:
         )
         assert code == 3
         assert "-π2: FAIL on 14 maximal cones" in out
+
+    def test_non_unimodular_fan_exits_3(self, capsys, data_dir, monkeypatch):
+        # cone spanned by (1,0,0) and (1,2,0) has index 2 in its span
+        rays = (LatticeVector((1, 0, 0), (0, 0, 0)),
+                LatticeVector((1, 2, 0), (0, 0, 0)))
+        index_two = Fan(3, rays, ("a", "b"), [frozenset([0, 1])])
+        monkeypatch.setitem(FAN_BUILDERS, "delta", lambda m: index_two)
+        argv = ["fan", str(data_dir / "square_chord.graph"), "--which", "delta",
+                "--verify-unimodular"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert "unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]" in out.splitlines()
+        assert "unimodular: pass" not in out
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["verify"]["unimodular"] == "fail"
+        assert data["failures"] == ["unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]"]
 
     def test_json_output_round_trips(self, capsys, data_dir):
         code, out, _ = run_cli(

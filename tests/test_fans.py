@@ -33,6 +33,8 @@ from confan.matroid import (
     uniform_matroid,
 )
 
+from . import oracles
+
 SQUARE_CHORD_BIFLAT_LABELS = [
     "124⊆E", "135⊆E",
     "1⊆1", "1⊆E",
@@ -47,6 +49,43 @@ SQUARE_CHORD_BIFLAT_LABELS = [
 
 def square_chord(square_chord_bases):
     return matroid_from_bases(5, square_chord_bases)
+
+
+K4_EDGES = list(combinations(range(4), 2))
+
+# (n, bases): spanning trees of K4 are the 3-edge sets touching all 4 vertices
+ORACLE_MATROIDS = {
+    "square-chord": (5, [b for b in combinations(range(1, 6), 3)
+                         if set(b) not in ({1, 2, 4}, {1, 3, 5})]),
+    "U(2,5)": (5, list(combinations(range(1, 6), 2))),
+    "K4": (6, [t for t in combinations(range(1, 7), 3)
+               if len({v for e in t for v in K4_EDGES[e - 1]}) == 4]),
+}
+
+BUILDERS = {
+    "bergman": bergman_fan,
+    "square-conormal": square_conormal_fan,
+    "delta": delta_fan,
+    "delta-tilde": delta_tilde_fan,
+}
+
+
+def as_vectors(fan, cones):
+    """Cones as frozensets of ray vectors (e, f), independent of ray order."""
+    return {frozenset((fan.rays[i].e, fan.rays[i].f) for i in c) for c in cones}
+
+
+def assert_matches_oracle(fan, faces, vector):
+    assert len(set(fan.rays)) == len(fan.rays)
+    oracle = {frozenset(vector[k] for k in c) for c in faces}
+    assert as_vectors(fan, fan.cones) == oracle
+    assert len(fan.cones) == len(faces)
+    expected = oracles.maximal_by_pairwise_scan(faces)
+    assert as_vectors(fan, fan.maximal_cones()) == {
+        frozenset(vector[k] for k in c) for c in expected
+    }
+    assert len(fan.maximal_cones()) == len(expected)
+    assert list(fan.maximal_cones()) == sorted(fan.maximal_cones(), key=sorted)
 
 
 class TestLatticeVector:
@@ -180,12 +219,49 @@ class TestSquareConormal:
             assert union != full
 
     def test_face_closure(self, square_chord_bases):
-        fan = square_conormal_fan(square_chord(square_chord_bases))
-        for cone in fan.cones:
+        cones = square_conormal_fan(square_chord(square_chord_bases)).cones
+        for cone in cones:
             members = sorted(cone)
             for size in range(len(members)):
                 for face in combinations(members, size):
-                    assert frozenset(face) in fan.cones
+                    assert frozenset(face) in cones
+
+
+class TestMaximalStorage:
+    @pytest.mark.parametrize("which", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_builder_matches_oracle(self, name, which):
+        n, bases = ORACLE_MATROIDS[name]
+        fan = BUILDERS[which](matroid_from_bases(n, bases))
+        assert_matches_oracle(fan, *oracles.fan_faces(which, n, bases))
+
+    def test_fibre_fan_matches_oracle(self):
+        n, bases = ORACLE_MATROIDS["square-chord"]
+        flat, subset = frozenset({1, 2, 4}), frozenset({2, 3, 4, 5})
+        faces, vector = oracles.fan_faces("delta-tilde", n, bases)
+        faces = {
+            c for c in faces if all(f <= flat and g - f <= subset for f, g in c)
+        }
+        fan = fibre_fan(matroid_from_bases(n, bases), mask_of(flat), mask_of(subset))
+        assert_matches_oracle(fan, faces, vector)
+
+    def test_stores_only_maximal_cones(self):
+        rays = [lattice_e(mask_of([i]), 5) for i in (1, 2, 3, 4)]
+        # faces one and two levels down and a repeated cone reduce away
+        fan = Fan(5, rays, "abcd", [[0], [0, 1, 2], [2, 1, 0], [3], [2, 3], [1]])
+        assert fan.maximal == (frozenset({0, 1, 2}), frozenset({2, 3}))
+        assert fan.cones == {
+            frozenset(c)
+            for c in [(), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2),
+                      (0, 1, 2), (2, 3)]
+        }
+        assert "cones" not in Fan.__slots__
+        with pytest.raises(AttributeError):
+            fan.cones = frozenset()
+
+    def test_trivial_fan_keeps_the_origin(self):
+        assert Fan(3, [], [], []).maximal == (frozenset(),)
+        assert Fan(3, [], [], [[]]).cones == {frozenset()}
 
 
 class TestDeltaFans:
@@ -324,10 +400,11 @@ class TestDivisorIncidence:
     def test_matches_stored_cones(self, square_chord_bases):
         # incidence of a biflat set == those rays span a cone of the fan
         fan = square_conormal_fan(square_chord(square_chord_bases))
+        cones = fan.cones
         for size in (2, 3):
             for combo in combinations(range(len(fan.rays)), size):
                 pairs = [fan.ray_data[i] for i in combo]
-                expected = frozenset(combo) in fan.cones
+                expected = frozenset(combo) in cones
                 assert divisor_incidence(pairs, 5) == expected
 
 
@@ -360,11 +437,12 @@ class TestFibreFan:
         m = square_chord(square_chord_bases)
         big = delta_tilde_fan(m)
         fib = fibre_fan(m, mask_of([1]), mask_of([2, 3, 4, 5]))
+        fib_cones = fib.cones
         kept = {lbl: i for i, lbl in enumerate(fib.labels)}
         for cone in big.cones:
             labels = [big.labels[i] for i in cone]
             if all(lbl in kept for lbl in labels):
-                assert frozenset(kept[lbl] for lbl in labels) in fib.cones
+                assert frozenset(kept[lbl] for lbl in labels) in fib_cones
 
 
 class TestFanJson:
@@ -384,8 +462,22 @@ class TestFanJson:
         n_max = len(fan.maximal_cones())
         assert all(s == 3 for s in sizes[:n_max])
 
+    def test_maximal_cones_alone_load_the_same_fan(self, square_chord_bases):
+        fan = delta_tilde_fan(square_chord(square_chord_bases))
+        data = fan_to_json(fan)
+        n_max = len(fan.maximal_cones())
+        assert fan_from_json(dict(data, cones=data["cones"][:n_max])) == fan_from_json(data)
+        assert fan_from_json(dict(data, cones=data["cones"][1:n_max])) != fan
+
     def test_bad_json_rejected(self):
-        with pytest.raises(ParseError):
-            fan_from_json({"n": 3, "rays": "nope", "cones": []})
-        with pytest.raises(ParseError):
-            fan_from_json({"rays": [], "cones": []})
+        for data in [
+            {"n": 3, "rays": "nope", "cones": []},
+            {"rays": [], "cones": []},
+            {"n": 0, "rays": [], "cones": []},
+            {"n": -2, "rays": [], "cones": []},
+            {"n": 5, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[0]]},
+            {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0, 0]}], "cones": [[0]]},
+            {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[1]]},
+        ]:
+            with pytest.raises(ParseError):
+                fan_from_json(data)

@@ -1,0 +1,71 @@
+"""Golden CLI transcripts: the stdout and exit code of fixed fan and fibre
+commands must stay byte-identical.
+
+The transcripts in tests/data/golden/ were recorded from a known-good tree;
+`python -m tests.test_golden` (run from the repository root, with src on
+PYTHONPATH) writes them again from the current tree.  Rewrite them only when
+a change of output is intended, and say so in the change description.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from confan.cli import main
+
+DATA = Path(__file__).parent / "data"
+GOLDEN = DATA / "golden"
+EXITS = GOLDEN / "exits.json"
+
+
+def _cases():
+    inputs = {"sq": "square_chord.graph", "u25": "u25.bases.json"}
+    kinds = ("bergman", "square-conormal", "delta", "delta-tilde")
+    cases = {}
+    for tag, name in inputs.items():
+        for kind in kinds:
+            for output in ("text", "json"):
+                cases["fan-%s-%s-%s" % (kind, tag, output)] = [
+                    "fan", name, "--which", kind, "--verify-maps",
+                    "--verify-unimodular", "--output", output,
+                ]
+    for output in ("text", "json"):
+        cases["resolve-report-sq-%s" % output] = [
+            "resolve-report", "square_chord.graph", "--flat", "124",
+            "--subset", "2345", "--output", output,
+        ]
+    return cases
+
+
+CASES = _cases()
+
+
+def run(argv):
+    """Exit code and stdout bytes of one in-process CLI run on tests/data."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main([str(DATA / argv[1]) if i == 1 else a for i, a in enumerate(argv)])
+    return code, out.getvalue().encode("utf-8")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_transcript_unchanged(case):
+    code, out = run(CASES[case])
+    assert out == (GOLDEN / (case + ".out")).read_bytes()
+    assert code == json.loads(EXITS.read_text())[case]
+
+
+def record():
+    GOLDEN.mkdir(exist_ok=True)
+    exits = {}
+    for case, argv in sorted(CASES.items()):
+        exits[case], out = run(argv)
+        (GOLDEN / (case + ".out")).write_bytes(out)
+    EXITS.write_text(json.dumps(exits, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    record()
