@@ -138,7 +138,13 @@ def cmd_fan(args, cap):
     m = load_matroid(args.input, args.format, cap)
     fan = FAN_BUILDERS[args.which](m)
     maxes = fan.maximal_cones()
-    dim = max(fan.cone_dim(c) for c in maxes)
+    # rank <= ray count, so cones no larger than the best rank cannot raise
+    # it; a pure fan needs a single rank
+    dim = 0
+    for c in sorted(maxes, key=len, reverse=True):
+        if len(c) <= dim:
+            break
+        dim = max(dim, fan.cone_dim(c))
     lines = [
         "fan: %s" % args.which,
         "rays: %d" % len(fan.rays),

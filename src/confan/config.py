@@ -38,6 +38,7 @@ from .errors import (
 from .matroid import (
     Matroid,
     _connected_components,
+    _vertices,
     elements_of,
     flats,
     is_connected,
@@ -121,13 +122,7 @@ def config_new(a: Matrix, allow_loops: bool = False) -> Configuration:
 def config_from_graph(edges, allow_loops: bool = False) -> Configuration:
     """Configuration of a connected graph: oriented incidence matrix, one vertex row dropped."""
     edges = [tuple(e) for e in edges]
-    vertices = []
-    seen = set()
-    for u, v in edges:
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
+    vertices = _vertices(edges)
     if _connected_components(vertices, edges) != 1:
         raise DisconnectedGraph("graph is not connected")
     index = {v: i for i, v in enumerate(vertices)}
@@ -235,11 +230,7 @@ def ambient_vector(c: Configuration, p: Point):
     """v = A^T w; computed from w, or validated from p.v (must lie in the row span)."""
     if p.w is not None:
         return c.a.transpose().apply(p.w)
-    if p.v is None:
-        raise ValueError("point carries neither w nor v")
-    w = solve_exact(c.a.transpose(), p.v)
-    if w is None or c.a.transpose().apply(w) != list(p.v):
-        raise NotOnLambda("v is not in the row span of the configuration")
+    span_coordinates(c, p)
     return list(p.v)
 
 

@@ -11,6 +11,7 @@ coordinate of each block after subtracting it.
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from math import gcd
 
@@ -404,24 +405,6 @@ def _check_pure_simplicial(fan: Fan):
     return maxes, dims.pop()
 
 
-def _cone_coords_columns(fan: Fan, cone):
-    idx = sorted(cone)
-    cols = [fan.rays[i].coords() for i in idx]
-    rows = [[cols[j][t] for j in range(len(idx))] for t in range(2 * fan.n - 2)]
-    return Matrix(rows, ncols=len(idx))
-
-
-def _membership(fan_c: Fan, cone, vec_coords):
-    """Barycentric coordinates of a vector in a simplicial cone, or None."""
-    mat = _cone_coords_columns(fan_c, cone)
-    sol = solve_exact(mat, list(vec_coords))
-    if sol is None:
-        return None
-    if any(x < 0 for x in sol):
-        return None
-    return sol
-
-
 def refines(fine: Fan, coarse: Fan) -> bool:
     """Certified refinement of simplicial fans of equal pure dimension.
 
@@ -436,26 +419,27 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     if d_fine != d_coarse:
         raise NotPure("fans have different dimensions")
 
-    def containing_cone(vec):
-        for c in coarse_max:
-            if _membership(coarse, c, vec.coords()) is not None:
-                return c
-        return None
+    # bary[c][i]: barycentric coordinates of fine ray i in coarse cone c,
+    # present exactly when the ray lies in c; they are unique because the
+    # generators of c are independent
+    points = [v.coords() for v in fine.rays]
+    bary = {}
+    for c in coarse_max:
+        gens = Matrix(
+            [coarse.rays[j].coords() for j in sorted(c)], ncols=2 * coarse.n - 2
+        ).transpose()
+        bary[c] = {}
+        for i, p in enumerate(points):
+            sol = solve_exact(gens, p)
+            if sol is not None and all(x >= 0 for x in sol):
+                bary[c][i] = sol
 
-    for v in fine.rays:
-        if containing_cone(v) is None:
-            return False
+    if set().union(*bary.values()) != set(range(len(fine.rays))):
+        return False
 
-    assignment = {c: [] for c in map(frozenset, coarse_max)}
+    assignment = {c: [] for c in coarse_max}
     for tau in fine_max:
-        home = None
-        for c in coarse_max:
-            if all(
-                _membership(coarse, c, fine.rays[i].coords()) is not None
-                for i in tau
-            ):
-                home = frozenset(c)
-                break
+        home = next((c for c in coarse_max if bary[c].keys() >= tau), None)
         if home is None:
             return False
         assignment[home].append(tau)
@@ -463,25 +447,12 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     for sigma, taus in assignment.items():
         if not taus:
             return False
-        sigma_idx = sorted(sigma)
-        bary = {}
-        for tau in taus:
-            for i in tau:
-                if i not in bary:
-                    bary[i] = _membership(coarse, sigma, fine.rays[i].coords())
-        facet_count = {}
-        for tau in taus:
-            for drop in tau:
-                rho = frozenset(tau - {drop})
-                facet_count[rho] = facet_count.get(rho, 0) + 1
+        facet_count = Counter(tau - {drop} for tau in taus for drop in tau)
         for rho, cnt in facet_count.items():
             on_boundary = any(
-                all(not bary[i][j] for i in rho) for j in range(len(sigma_idx))
+                all(not bary[sigma][i][j] for i in rho) for j in range(len(sigma))
             )
-            if on_boundary:
-                if cnt != 1:
-                    return False
-            elif cnt != 2:
+            if cnt != (1 if on_boundary else 2):
                 return False
     return True
 

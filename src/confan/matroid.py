@@ -356,6 +356,11 @@ def matroid_from_matrix(a: Matrix) -> Matroid:
     return Matroid(n, bases, check=False)
 
 
+def _vertices(edges):
+    """The endpoints of the edges, each once, in order of first appearance."""
+    return list(dict.fromkeys(w for e in edges for w in e))
+
+
 def _connected_components(vertices, edges):
     parent = {v: v for v in vertices}
 
@@ -378,13 +383,7 @@ def matroid_from_graph(edges) -> Matroid:
     n = len(edges)
     if n == 0:
         raise ValueError("no edges")
-    vertices = []
-    seen = set()
-    for u, v in edges:
-        for w in (u, v):
-            if w not in seen:
-                seen.add(w)
-                vertices.append(w)
+    vertices = _vertices(edges)
     if _connected_components(vertices, edges) != 1:
         raise DisconnectedGraph("graph is not connected")
     r = len(vertices) - 1

@@ -36,11 +36,11 @@ class TestMatroidInfo:
         assert "round: true" in out
 
     def test_disconnected_graph_exits_1(self, capsys, data_dir):
-        code, _, err = run_cli(
-            capsys, "matroid-info", str(data_dir / "disconnected.graph")
-        )
-        assert code == 1
-        assert "error" in err
+        # matroid-info builds the matroid, psi the configuration matrix
+        for command in ("matroid-info", "psi"):
+            code, _, err = run_cli(capsys, command, str(data_dir / "disconnected.graph"))
+            assert code == 1
+            assert err == "error: graph is not connected\n"
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "matroid-info", "/no/such/file.graph")
@@ -167,6 +167,22 @@ class TestFan:
         data = json.loads(out)
         assert data["verify"]["unimodular"] == "fail"
         assert data["failures"] == ["unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]"]
+
+    def test_dimension_of_non_pure_fan(self, capsys, data_dir, monkeypatch):
+        # the largest cone has four coplanar rays (rank 2); the dimension
+        # comes from the smaller cone of three independent rays
+        e = lambda *x: LatticeVector(x, (0, 0, 0))
+        f = lambda *x: LatticeVector((0, 0, 0), x)
+        rays = (e(1, 0, 0), e(0, 1, 0), e(1, 1, 0), e(2, 1, 0),
+                f(1, 0, 0), f(0, 1, 0), e(0, 0, 1))
+        mixed = Fan(3, rays, "abcdefg", [frozenset(range(4)), frozenset({4, 5, 6})])
+        assert [mixed.cone_dim(c) for c in mixed.maximal_cones()] == [2, 3]
+        monkeypatch.setitem(FAN_BUILDERS, "delta", lambda m: mixed)
+        code, out, _ = run_cli(
+            capsys, "fan", str(data_dir / "square_chord.graph"), "--which", "delta"
+        )
+        assert code == 0
+        assert "dimension: 3" in out.splitlines()
 
     def test_json_output_round_trips(self, capsys, data_dir):
         code, out, _ = run_cli(

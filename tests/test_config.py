@@ -291,6 +291,8 @@ class TestDuality:
         bad = Point(v=[1, 0, 0, 0, 1], beta=[1, 1, 1, 1, 1])
         with pytest.raises(NotOnLambda):
             span_coordinates(square_chord_config, bad)
+        with pytest.raises(NotOnLambda):
+            ambient_vector(square_chord_config, bad)
 
 
 class TestIota:

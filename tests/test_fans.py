@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 
+from confan.arith import solve_exact
 from confan.errors import HasLoops, LoopOrColoop, NotAFlat, ParseError
 from confan.fans import (
     Fan,
@@ -369,9 +370,60 @@ class TestRefines:
         assert refines(fan, fan)
 
     @pytest.mark.parametrize("r,n", [(2, 4), (2, 5)])
-    def test_uniform_refinement(self, r, n):
+    def test_uniform_refinement(self, r, n, monkeypatch):
         m = uniform_matroid(r, n)
-        assert refines(delta_tilde_fan(m), delta_fan(m))
+        fine, coarse = delta_tilde_fan(m), delta_fan(m)
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return solve_exact(*args)
+
+        monkeypatch.setattr("confan.fans.solve_exact", counting)
+        assert refines(fine, coarse)
+        # one solve per (fine ray, coarse maximal cone) pair: 45 x 100 on U(2,5)
+        assert len(calls) == len(fine.rays) * len(coarse.maximal_cones())
+
+    # Fans in the plane: with n = 2, LatticeVector((x, 0), (y, 0)) has
+    # coordinates (x, y) in Z^2.  Each False case fails exactly one check.
+    @staticmethod
+    def plane(points, cones):
+        rays = [LatticeVector((x, 0), (y, 0)) for x, y in points]
+        return Fan(2, rays, [str(p) for p in points], [frozenset(c) for c in cones])
+
+    QUADRANT = ([(1, 0), (0, 1)], [(0, 1)])
+
+    def test_plane_subdivision_refines(self):
+        fine = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
+        assert refines(fine, self.plane(*self.QUADRANT))
+
+    def test_plane_ray_outside_support(self):
+        # the ray (-1, -1) lies in no cone of either fan
+        fine = self.plane([(1, 0), (0, 1), (-1, -1)], [(0, 1)])
+        assert not refines(fine, self.plane(*self.QUADRANT))
+
+    def test_plane_cone_straddles_two_coarse_cones(self):
+        # the fine fan holds the coarse cones themselves, so only the
+        # quadrant cone across the ray (1, 1) can fail
+        points = [(1, 0), (1, 1), (0, 1)]
+        fine = self.plane(points, [(0, 1), (1, 2), (0, 2)])
+        assert not refines(fine, self.plane(points, [(0, 1), (1, 2)]))
+
+    def test_plane_coarse_cone_without_fine_cone(self):
+        fine = self.plane(*self.QUADRANT)
+        coarse = self.plane([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+        assert not refines(fine, coarse)
+
+    def test_plane_hole_counts_interior_facet_once(self):
+        # the sector between (2, 1) and (1, 2) is missing
+        fine = self.plane([(1, 0), (2, 1), (1, 2), (0, 1)], [(0, 1), (2, 3)])
+        assert not refines(fine, self.plane(*self.QUADRANT))
+
+    def test_plane_overlap_counts_boundary_facet_twice(self):
+        # the quadrant and its subdivision at once: interior ray (1, 1) is
+        # shared by two cones, but each axis ray bounds two cones as well
+        fine = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (0, 2)])
+        assert not refines(fine, self.plane(*self.QUADRANT))
 
 
 class TestDivisorIncidence:

@@ -32,6 +32,11 @@ def _cases():
                     "fan", name, "--which", kind, "--verify-maps",
                     "--verify-unimodular", "--output", output,
                 ]
+        for output in ("text", "json"):
+            cases["fan-delta-tilde-refines-%s-%s" % (tag, output)] = [
+                "fan", name, "--which", "delta-tilde", "--verify-maps",
+                "--verify-unimodular", "--verify-refines", "--output", output,
+            ]
     for output in ("text", "json"):
         cases["resolve-report-sq-%s" % output] = [
             "resolve-report", "square_chord.graph", "--flat", "124",
