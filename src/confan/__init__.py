@@ -19,7 +19,6 @@ from .classes import (
     cohomology_basis,
     motivic_class,
     resolution_betti,
-    x_motivic_example,
 )
 from .config import (
     Configuration,

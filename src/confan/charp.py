@@ -263,8 +263,14 @@ def divide_remainder(f: MultiPoly, basis, order: TermOrder) -> MultiPoly:
 
 
 def spair_reduction_check(c: Configuration) -> bool:
-    """Independent Groebner confirmation: every S-pair of the bilinear
-    generators divides to zero.  Exhaustive, so gated to small ground sets."""
+    """Every S-pair of the bilinear generators divides to zero.  Exhaustive,
+    so gated to small ground sets.
+
+    This is a cross-check of the division code, not evidence that the
+    generators form a Groebner basis: the lead terms are pairwise coprime
+    (lead_term_certificate checks that), and by Buchberger's first criterion
+    the S-pair of two polynomials with coprime leads always reduces to zero.
+    """
     if c.n > 6:
         raise Degenerate("S-pair oracle is gated to n <= 6")
     ls = lambda_system(c)

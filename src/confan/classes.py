@@ -23,7 +23,6 @@ from .matroid import (
     is_connected,
     is_round,
     loops_of,
-    matroid_from_bases,
     rank_of,
 )
 
@@ -54,29 +53,6 @@ def motivic_class(m: Matroid) -> ClassPoly:
         weight = _projective_space(m.n - rank_of(m, full & ~f))
         total = total + chi * weight
     return total
-
-
-def _wheel_example_matroid() -> Matroid:
-    # rank 3 on 5 elements; the two dependent triples are 124 and 135
-    bases = [
-        b
-        for b in [
-            (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
-            (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5),
-        ]
-        if set(b) not in ({1, 2, 4}, {1, 3, 5})
-    ]
-    return matroid_from_bases(5, bases)
-
-
-def x_motivic_example() -> ClassPoly:
-    """Class of the hypersurface cut out by the degeneracy locus for the
-    fixed five-element rank-3 example, from the incidence class by
-    inclusion-exclusion over the fibre structure."""
-    lam = motivic_class(_wheel_example_matroid())
-    ell = ClassPoly([1, 1], "L")
-    two_ell = ClassPoly([1, 2], "L")
-    return two_ell + lam - ell * two_ell
 
 
 class BiDegree:

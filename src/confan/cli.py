@@ -186,7 +186,9 @@ def cmd_fan(args, cap):
         else:
             lines.append("-π2: pass")
     if args.verify_refines:
-        ok = refines(delta_tilde_fan(m), delta_fan(m))
+        fine = fan if args.which == "delta-tilde" else delta_tilde_fan(m)
+        coarse = fan if args.which == "delta" else delta_fan(m)
+        ok = refines(fine, coarse)
         verify["refines"] = "pass" if ok else "fail"
         if ok:
             lines.append("refines: pass")

@@ -12,10 +12,9 @@ coordinate of each block after subtracting it.
 from __future__ import annotations
 
 from collections import Counter
-from itertools import combinations
 from math import gcd
 
-from .arith import Matrix, det, matrix_rank, solve_exact
+from .arith import factor_rows
 from .errors import (
     HasLoops,
     LoopOrColoop,
@@ -208,11 +207,14 @@ class Fan:
     def maximal_cones(self):
         return self.maximal
 
-    def cone_dim(self, cone) -> int:
-        if not cone:
-            return 0
+    def factor(self, cone):
+        """The integer factor (arith.factor_rows) of the cone's generators,
+        rows in Z^(2n-2) in the order of their ray indices."""
         rows = [self.rays[i].coords() for i in sorted(cone)]
-        return matrix_rank(Matrix(rows, ncols=2 * self.n - 2))
+        return factor_rows(rows, 2 * self.n - 2)
+
+    def cone_dim(self, cone) -> int:
+        return self.factor(cone).rank
 
 
 def count_maximal_cones(f: Fan) -> int:
@@ -342,26 +344,8 @@ def delta_fan(m: Matroid) -> Fan:
 def is_unimodular(fan: Fan, cone) -> bool:
     """Generators are independent and extend to a basis of the lattice:
     the gcd of all maximal minors of the coordinate matrix is 1."""
-    idx = sorted(cone)
-    if not idx:
-        return True
-    rows = [fan.rays[i].coords() for i in idx]
-    k = len(rows)
-    mat = Matrix(rows, ncols=2 * fan.n - 2)
-    if matrix_rank(mat) < k:
-        return False
-    g = 0
-    for cols in combinations(range(2 * fan.n - 2), k):
-        d = det(mat.column_submatrix(cols))
-        if isinstance(d, int):
-            g = gcd(g, d)
-        else:
-            if d.denominator != 1:
-                return False
-            g = gcd(g, int(d))
-        if g == 1:
-            return True
-    return g == 1
+    f = fan.factor(cone)
+    return f.rank == len(cone) and f.index == 1
 
 
 def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
@@ -393,16 +377,31 @@ def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
 
 
 def _check_pure_simplicial(fan: Fan):
-    maxes = fan.maximal_cones()
-    dims = set()
-    for c in maxes:
-        d = fan.cone_dim(c)
-        if d < len(c):
-            raise NotSimplicial("cone with dependent generators")
-        dims.add(d)
+    """The factor of each maximal cone, in the fan's order, and the fan's
+    dimension; every maximal cone must be simplicial, all of one dimension."""
+    factors = {c: fan.factor(c) for c in fan.maximal_cones()}
+    if any(f.rank < len(c) for c, f in factors.items()):
+        raise NotSimplicial("cone with dependent generators")
+    dims = {f.rank for f in factors.values()}
     if len(dims) != 1:
         raise NotPure("maximal cones of unequal dimension")
-    return maxes, dims.pop()
+    return factors, dims.pop()
+
+
+def _bary_table(fine: Fan, factors) -> dict:
+    """bary[c][i]: the barycentric coordinates of fine ray i in the cone c,
+    scaled by the positive integer D of c's factor (factors maps each coarse
+    maximal cone to it), present exactly when the ray lies in c; they are
+    unique because the generators of c are independent."""
+    points = [v.coords() for v in fine.rays]
+    bary = {}
+    for c, f in factors.items():
+        bary[c] = {}
+        for i, p in enumerate(points):
+            y = f.cone_coordinates(p)
+            if y is not None:
+                bary[c][i] = y
+    return bary
 
 
 def refines(fine: Fan, coarse: Fan) -> bool:
@@ -419,21 +418,7 @@ def refines(fine: Fan, coarse: Fan) -> bool:
     if d_fine != d_coarse:
         raise NotPure("fans have different dimensions")
 
-    # bary[c][i]: barycentric coordinates of fine ray i in coarse cone c,
-    # present exactly when the ray lies in c; they are unique because the
-    # generators of c are independent
-    points = [v.coords() for v in fine.rays]
-    bary = {}
-    for c in coarse_max:
-        gens = Matrix(
-            [coarse.rays[j].coords() for j in sorted(c)], ncols=2 * coarse.n - 2
-        ).transpose()
-        bary[c] = {}
-        for i, p in enumerate(points):
-            sol = solve_exact(gens, p)
-            if sol is not None and all(x >= 0 for x in sol):
-                bary[c][i] = sol
-
+    bary = _bary_table(fine, coarse_max)
     if set().union(*bary.values()) != set(range(len(fine.rays))):
         return False
 

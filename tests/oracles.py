@@ -277,3 +277,31 @@ def naive_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def minors_rank_and_index(rows, ncols):
+    """(rank, index) of k integer rows of length ncols from their minors by
+    brute force: the rank is the largest t with a nonzero t x t minor, and
+    the index is the gcd of the k x k minors, 0 when they all vanish.  The
+    rows extend to a basis of the lattice (a unimodular cone) iff the index
+    is 1."""
+    from math import gcd
+
+    k = len(rows)
+
+    def minor(rs, cs):
+        return naive_det([[rows[i][j] for j in cs] for i in rs])
+
+    rank = 0
+    for t in range(1, k + 1):
+        if not any(
+            minor(rs, cs)
+            for rs in combinations(range(k), t)
+            for cs in combinations(range(ncols), t)
+        ):
+            break
+        rank = t
+    index = 0
+    for cs in combinations(range(ncols), k):
+        index = gcd(index, minor(range(k), cs))
+    return rank, index

@@ -22,7 +22,6 @@ from confan.classes import (
     chow_bidegree,
     motivic_class,
     resolution_betti,
-    x_motivic_example,
 )
 from confan.config import (
     config_from_graph,
@@ -64,6 +63,7 @@ from confan.matroid import (
 
 from .conftest import random_config
 from .oracles import biprojective_incidence_count
+from .test_classes import x_motivic_example
 
 SUITE_START = time.perf_counter()
 

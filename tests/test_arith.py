@@ -10,13 +10,14 @@ from confan.arith import (
     MultiPoly,
     TermOrder,
     det,
+    factor_rows,
     kernel_basis,
     matrix_rank,
     poly_lead_term,
     solve_exact,
 )
 
-from .oracles import naive_det
+from .oracles import minors_rank_and_index, naive_det
 
 XY = ("x", "y")
 
@@ -179,3 +180,81 @@ class TestMatrix:
         m = Matrix((), ncols=3)
         assert m.nrows == 0
         assert matrix_rank(m) == 0
+
+
+@st.composite
+def integer_rows(draw):
+    """(rows, ncols): up to four integer rows, one more than ncols at most,
+    the last a combination of the first two half of the time when k >= 2."""
+    ncols = draw(st.integers(1, 5))
+    k = draw(st.integers(0, min(ncols + 1, 4)))
+    rows = draw(st.lists(
+        st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols),
+        min_size=k, max_size=k,
+    ))
+    if k >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, ncols
+
+
+class TestFactorRows:
+    @given(integer_rows())
+    @settings(max_examples=300, deadline=None)
+    def test_rank_and_index_match_minors_oracle(self, case):
+        rows, ncols = case
+        f = factor_rows(rows, ncols)
+        assert (f.rank, f.index) == minors_rank_and_index(rows, ncols)
+
+    def test_index_two_and_dependent_rows(self):
+        # (1, 0, 0) and (1, 2, 0) span a sublattice of index 2 in their plane
+        for rows, expected in [
+            ([(1, 0, 0), (1, 2, 0)], (2, 2)),
+            ([(1, 0, 0), (0, 1, 0)], (2, 1)),
+            ([(2, 3, 0)], (1, 1)),
+            ([(1, 2, 0), (2, 4, 0)], (1, 0)),
+            ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 0)),
+            ([], (0, 1)),
+        ]:
+            f = factor_rows(rows, 3)
+            assert (f.rank, f.index) == expected == minors_rank_and_index(rows, 3)
+
+    @given(integer_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_left_inverse(self, case):
+        rows, ncols = case
+        f = factor_rows(rows, ncols)
+        if f.rank < len(rows):
+            with pytest.raises(ValueError):
+                f.left_inverse()
+            return
+        coords, d, adj = f.left_inverse()
+        g_r = [[row[j] for row in rows] for j in coords]
+        assert d == abs(naive_det(g_r)) > 0
+        k = len(rows)
+        assert Matrix(adj, ncols=k).matmul(Matrix(g_r, ncols=k)) == Matrix(
+            [[d if i == j else 0 for j in range(k)] for i in range(k)], ncols=k
+        )
+
+    @given(integer_rows(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_membership_matches_solve_exact(self, case, data):
+        rows, ncols = case
+        f = factor_rows(rows, ncols)
+        if f.rank < len(rows):
+            return
+        d = f.left_inverse()[1]
+        gens = Matrix(rows, ncols=ncols).transpose()
+        for _ in range(4):
+            if data.draw(st.booleans()):
+                # a point of the span, inside the cone or not
+                lam = data.draw(st.lists(st.integers(-1, 3), min_size=len(rows), max_size=len(rows)))
+                p = [sum(c * row[j] for c, row in zip(lam, rows)) for j in range(ncols)]
+            else:
+                p = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+            sol = solve_exact(gens, p)
+            inside = sol is not None and all(x >= 0 for x in sol)
+            y = f.cone_coordinates(p)
+            assert (y is not None) == inside
+            if inside:
+                assert y == [d * x for x in sol]

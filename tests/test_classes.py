@@ -4,14 +4,12 @@ import pytest
 
 from confan.classes import (
     BiDegree,
-    _wheel_example_matroid,
     a_invariant,
     chow_bidegree,
     cohomology_basis,
     is_truncation_boundary,
     motivic_class,
     resolution_betti,
-    x_motivic_example,
 )
 from confan.config import psi_basis_expansion
 from confan.errors import Degenerate, HasLoops, NotConnected, NotRound
@@ -27,6 +25,29 @@ from confan.matroid import (
 )
 
 from .oracles import biprojective_incidence_count, projective_hypersurface_count
+
+
+def _wheel_example_matroid():
+    # rank 3 on 5 elements; the two dependent triples are 124 and 135
+    bases = [
+        b
+        for b in [
+            (1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (1, 3, 5),
+            (1, 4, 5), (2, 3, 4), (2, 3, 5), (2, 4, 5), (3, 4, 5),
+        ]
+        if set(b) not in ({1, 2, 4}, {1, 3, 5})
+    ]
+    return matroid_from_bases(5, bases)
+
+
+def x_motivic_example():
+    """Class of the hypersurface cut out by the degeneracy locus for the
+    fixed five-element rank-3 example, from the incidence class by
+    inclusion-exclusion over the fibre structure."""
+    lam = motivic_class(_wheel_example_matroid())
+    ell = ClassPoly([1, 1], "L")
+    two_ell = ClassPoly([1, 2], "L")
+    return two_ell + lam - ell * two_ell
 
 
 def contraction_route(m):

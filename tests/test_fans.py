@@ -1,13 +1,23 @@
 import json
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
-from confan.arith import solve_exact
-from confan.errors import HasLoops, LoopOrColoop, NotAFlat, ParseError
+from confan.arith import Matrix, factor_rows, solve_exact
+from confan.errors import (
+    HasLoops,
+    LoopOrColoop,
+    NotAFlat,
+    NotPure,
+    NotSimplicial,
+    ParseError,
+)
 from confan.fans import (
     Fan,
     LatticeVector,
+    _bary_table,
+    _check_pure_simplicial,
     bergman_fan,
     biflat_label,
     biflat_ray,
@@ -308,6 +318,17 @@ class TestUnimodular:
         fan = square_conormal_fan(square_chord(square_chord_bases))
         assert all(is_unimodular(fan, c) for c in fan.cones)
 
+    @pytest.mark.parametrize("which", ["delta", "delta-tilde", "square-conormal"])
+    @pytest.mark.parametrize("name", ["square-chord", "U(2,5)"])
+    def test_matches_minors_oracle(self, name, which):
+        n, bases = ORACLE_MATROIDS[name]
+        fan = BUILDERS[which](matroid_from_bases(n, bases))
+        for c in fan.maximal_cones():
+            rows = [fan.rays[i].coords() for i in sorted(c)]
+            rank, index = oracles.minors_rank_and_index(rows, 2 * n - 2)
+            assert is_unimodular(fan, c) == (rank == len(c) and index == 1)
+            assert fan.cone_dim(c) == rank
+
     def test_non_unimodular_cone_detected(self):
         # cone spanned by (1,0,0) and (1,2,0) has index 2 in its span
         rays = (LatticeVector((1, 0, 0), (0, 0, 0)),
@@ -316,6 +337,9 @@ class TestUnimodular:
                   [frozenset(), frozenset([0]), frozenset([1]),
                    frozenset([0, 1])])
         assert not is_unimodular(fan, frozenset([0, 1]))
+        rows = [v.coords() for v in rays]
+        assert oracles.minors_rank_and_index(rows, 4) == (2, 2)
+        assert fan.factor(frozenset([0, 1])).index == 2
         assert is_unimodular(fan, frozenset([0]))
         assert is_unimodular(fan, frozenset())
 
@@ -375,14 +399,47 @@ class TestRefines:
         fine, coarse = delta_tilde_fan(m), delta_fan(m)
         calls = []
 
-        def counting(*args):
-            calls.append(args)
-            return solve_exact(*args)
+        def counting(rows, ncols):
+            calls.append(tuple(rows))
+            return factor_rows(rows, ncols)
 
-        monkeypatch.setattr("confan.fans.solve_exact", counting)
+        def rows_of(fan):
+            return [tuple(fan.rays[j].coords() for j in sorted(c)) for c in fan.maximal]
+
+        monkeypatch.setattr("confan.fans.factor_rows", counting)
         assert refines(fine, coarse)
-        # one solve per (fine ray, coarse maximal cone) pair: 45 x 100 on U(2,5)
-        assert len(calls) == len(fine.rays) * len(coarse.maximal_cones())
+        # one factorisation per coarse maximal cone (100 on U(2,5)), serving
+        # both its simplicial check and its whole row of the bary table, and
+        # one per fine maximal cone for its simplicial check; none per pair
+        assert Counter(calls) == Counter(rows_of(fine) + rows_of(coarse))
+        assert len(calls) == len(fine.maximal_cones()) + len(coarse.maximal_cones())
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: matroid_from_bases(*ORACLE_MATROIDS["square-chord"]),
+            lambda: uniform_matroid(2, 4),
+        ],
+        ids=["square-chord", "U(2,4)"],
+    )
+    def test_bary_table_matches_solve_exact_route(self, build):
+        m = build()
+        fine, coarse = delta_tilde_fan(m), delta_fan(m)
+        factors, _ = _check_pure_simplicial(coarse)
+        table = _bary_table(fine, factors)
+        assert list(table) == list(coarse.maximal_cones())
+        for c, f in factors.items():
+            gens = Matrix(
+                [coarse.rays[j].coords() for j in sorted(c)], ncols=2 * m.n - 2
+            ).transpose()
+            old = {}
+            for i, v in enumerate(fine.rays):
+                sol = solve_exact(gens, v.coords())
+                if sol is not None and all(x >= 0 for x in sol):
+                    old[i] = sol
+            d = f.left_inverse()[1]
+            assert table[c].keys() == old.keys()
+            assert all(table[c][i] == [d * x for x in old[i]] for i in old)
 
     # Fans in the plane: with n = 2, LatticeVector((x, 0), (y, 0)) has
     # coordinates (x, y) in Z^2.  Each False case fails exactly one check.
@@ -424,6 +481,21 @@ class TestRefines:
         # shared by two cones, but each axis ray bounds two cones as well
         fine = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (0, 2)])
         assert not refines(fine, self.plane(*self.QUADRANT))
+
+    def test_plane_fans_must_be_pure_and_simplicial(self):
+        quadrant = self.plane(*self.QUADRANT)
+        # three rays in the plane span one cone of dimension 2, not 3
+        flat = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
+        with pytest.raises(NotSimplicial):
+            refines(flat, quadrant)
+        with pytest.raises(NotSimplicial):
+            refines(quadrant, flat)
+        mixed = self.plane([(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
+        with pytest.raises(NotPure):
+            refines(mixed, quadrant)
+        ray = self.plane([(1, 0)], [(0,)])
+        with pytest.raises(NotPure):
+            refines(ray, quadrant)
 
 
 class TestDivisorIncidence:
