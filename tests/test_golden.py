@@ -1,5 +1,5 @@
-"""Golden CLI transcripts: the stdout and exit code of fixed fan and fibre
-commands must stay byte-identical.
+"""Golden CLI transcripts: the stdout and exit code of fixed fan, fibre and
+matrix commands must stay byte-identical.
 
 The transcripts in tests/data/golden/ were recorded from a known-good tree;
 `python -m tests.test_golden` (run from the repository root, with src on
@@ -42,6 +42,22 @@ def _cases():
             "resolve-report", "square_chord.graph", "--flat", "124",
             "--subset", "2345", "--output", output,
         ]
+    # matrix inputs: Q with integer entries, Q with a/2^k entries whose rows
+    # clear to different scales, and F_7; each with the prime charp is run at
+    matrices = {
+        "sqmat": ("square_chord.mat.json", ["--p", "3", "--strict"]),
+        "u34": ("u34_witness.mat.json", ["--p", "5", "--strict"]),
+        "q48": ("q48_halves.mat.json", ["--p", "5"]),
+        "f7": ("f7_3x7.mat.json", ["--p", "7"]),
+    }
+    for tag, (name, charp) in matrices.items():
+        for output in ("text", "json"):
+            tail = ["--output", output]
+            cases["psi-%s-%s" % (tag, output)] = ["psi", name, "--check-det"] + tail
+            cases["charp-%s-%s" % (tag, output)] = ["charp", name] + charp + tail
+            cases["matroid-info-%s-%s" % (tag, output)] = ["matroid-info", name] + tail
+    # a prime dividing a denominator of the standard form: exit 1, no stdout
+    cases["charp-q48-p3-text"] = ["charp", "q48_halves.mat.json", "--p", "3"]
     return cases
 
 
