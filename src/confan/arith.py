@@ -7,7 +7,7 @@ elements of a prime field Fp.  No floats, no tolerances, anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import NonSquare, ZeroPolynomial
@@ -445,41 +445,128 @@ def _det_bareiss(m: Matrix):
     return sign * a[n - 1][n - 1]
 
 
-def _det_poly(m: Matrix) -> MultiPoly:
-    variables = next(
-        x.variables for row in m.rows for x in row if isinstance(x, MultiPoly)
-    )
+def _clearing(rows):
+    """(p, scales) that turn rows of exact scalars into integers.
 
-    def lift(x):
-        return x if isinstance(x, MultiPoly) else MultiPoly.constant(variables, x)
+    p is the modulus of the first Fp among the scalars, or None over Q.
+    Over F_p every scalar becomes its residue and every scale is 1; over Q,
+    scales[i] is the least common denominator of row i, and a scalar x of
+    row i becomes the integer x * scales[i].  A determinant over the integer
+    rows is then prod(scales) times the one over the input (see _from_int).
+    """
+    rows = [list(row) for row in rows]
+    p = next((x.p for row in rows for x in row if isinstance(x, Fp)), None)
+    if p is not None:
+        return p, [1] * len(rows)
+    return None, [lcm(*(x.denominator for x in row)) for row in rows]
 
-    rows = [[lift(x) for x in row] for row in m.rows]
-    n = m.nrows
-    memo: dict = {}
 
-    def rec(i: int, colmask: int) -> MultiPoly:
-        if i == n:
-            return MultiPoly.constant(variables, 1)
-        key = colmask
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        total = MultiPoly.zero(variables)
-        sign = 1
-        for j in range(n):
-            bit = 1 << j
-            if not colmask & bit:
+def _to_int(x, scale: int, p) -> int:
+    """x of a row with the given scale, as an integer (see _clearing)."""
+    if p is None:
+        return x.numerator * (scale // x.denominator)
+    if isinstance(x, Fp):
+        if x.p != p:
+            raise ValueError("mixed moduli %d and %d" % (p, x.p))
+        return x.val
+    x = Fraction(x)
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _from_int(d: int, denominator: int, p):
+    """A determinant d over the cleared rows, in the input's scalar type."""
+    if p is not None:
+        return Fp(d, p)
+    return d if denominator == 1 else Fraction(d, denominator)
+
+
+def _nonzero(values: dict, p) -> dict:
+    """values without its zero entries, reduced mod p when p is set."""
+    if p is not None:
+        values = {k: v % p for k, v in values.items()}
+    return {k: v for k, v in values.items() if v}
+
+
+def maximal_minors(a: Matrix) -> dict:
+    """{column mask: det(A_B)} over the r-subsets B of the columns of the
+    r x n matrix A with det(A_B) != 0; bit j of a mask is column j.
+
+    Laplace expansion along each next row: the nonzero k x k minors of the
+    first k rows, keyed by their column sets, give those of the first k + 1
+    rows, so each leading minor is computed once, on plain integers (rows
+    cleared of denominators, or residues mod p; see _clearing).  The table
+    is empty exactly when A has rank below r.
+    """
+    p, scales = _clearing(a.rows)
+    level = {0: 1}
+    for row, scale in zip(a.rows, scales):
+        nxt: dict = {}
+        for j, x in enumerate(row):
+            if not x:
                 continue
-            entry = rows[i][j]
-            if entry:
-                sub = rec(i + 1, colmask & ~bit)
-                total = total + entry * sub * sign
-            sign = -sign
-        memo[key] = total
-        return total
+            x = _to_int(x, scale, p)
+            for cols, d in level.items():
+                if cols >> j & 1:
+                    continue
+                # expanding along the new row, column j's sign is the parity
+                # of the columns of cols after it
+                t = -x * d if (cols >> j).bit_count() & 1 else x * d
+                nxt[cols | 1 << j] = nxt.get(cols | 1 << j, 0) + t
+        level = _nonzero(nxt, p)
+    denominator = prod(scales)
+    return {cols: _from_int(d, denominator, p) for cols, d in level.items()}
 
-    # column masks determine the row index (i = n - popcount), so one key works
-    return rec(0, (1 << n) - 1)
+
+def _det_poly(m: Matrix) -> MultiPoly:
+    """Determinant of a square matrix with MultiPoly (and scalar) entries.
+
+    The row-by-row Laplace expansion of maximal_minors, with polynomial
+    entries: integer coefficients (see _clearing) and packed monomials, one
+    int per exponent vector with a field of `width` bits per variable.  No
+    exponent of the determinant exceeds the sum over the rows of their
+    largest total degree, and width holds that bound, so multiplying two
+    monomials adds two ints without a carry between fields.
+    """
+    polys = [x for row in m.rows for x in row if isinstance(x, MultiPoly)]
+    variables = polys[0].variables
+    if any(x.variables != variables for x in polys):
+        raise ValueError("polynomials over different variable lists")
+    nv = len(variables)
+    terms = [
+        [x.terms if isinstance(x, MultiPoly) else {(0,) * nv: x} for x in row]
+        for row in m.rows
+    ]
+    p, scales = _clearing([c for t in row for c in t.values()] for row in terms)
+    bound = sum(
+        max((sum(mono) for t in row for mono in t), default=0) for row in terms
+    )
+    width = max(1, bound.bit_length())
+
+    def pack(mono):
+        return sum(e << (width * i) for i, e in enumerate(mono))
+
+    level = {0: {0: 1}}
+    for row, scale in zip(terms, scales):
+        nxt: dict = {}
+        for j, t in enumerate(row):
+            entry = [(pack(mono), _to_int(c, scale, p)) for mono, c in t.items() if c]
+            for cols, poly in level.items():
+                if cols >> j & 1 or not entry:
+                    continue
+                sign = -1 if (cols >> j).bit_count() & 1 else 1
+                acc = nxt.setdefault(cols | 1 << j, {})
+                for m1, c1 in entry:
+                    c1 *= sign
+                    for m2, c2 in poly.items():
+                        acc[m1 + m2] = acc.get(m1 + m2, 0) + c1 * c2
+        level = {cols: t for cols, acc in nxt.items() if (t := _nonzero(acc, p))}
+    field = (1 << width) - 1
+    denominator = prod(scales)
+    det_terms = {
+        tuple(mono >> (width * i) & field for i in range(nv)): _from_int(c, denominator, p)
+        for mono, c in level.get((1 << m.nrows) - 1, {}).items()
+    }
+    return MultiPoly(variables, det_terms)
 
 
 def _clear_row(row: Sequence[Fraction]) -> list:

@@ -20,6 +20,7 @@ from .arith import (
 from .config import (
     Configuration,
     config_new,
+    first_basis,
     lambda_system,
     psi_det,
 )
@@ -28,7 +29,6 @@ from .errors import (
     LeadTermFailure,
     OrderViolation,
     ParseError,
-    RankDeficient,
 )
 
 
@@ -104,9 +104,7 @@ def row_reduce_to_standard(c: Configuration):
     rows are fully reduced.  Returns (configuration, permutation); entry j of
     the permutation is the original 0-based column now in position j.
     """
-    _, pivots = _rref(c.a)
-    if len(pivots) < c.r:
-        raise RankDeficient("row rank below %d" % c.r)
+    pivots = first_basis(c)
     perm = list(pivots) + [j for j in range(c.n) if j not in pivots]
     reduced_rows, _ = _rref(c.a.column_submatrix(perm))
     std = config_new(Matrix(reduced_rows, ncols=c.n))

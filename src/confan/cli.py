@@ -194,7 +194,8 @@ def cmd_fan(args, cap):
             lines.append("refines: pass")
         else:
             failures.append("refines: FAIL")
-    payload = fan_to_json(fan)
+    # every face of the fan, sorted: built only when it is printed
+    payload = fan_to_json(fan) if args.output == "json" else {}
     payload["which"] = args.which
     if verify:
         payload["verify"] = verify

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from random import Random
 
 from .arith import (
@@ -22,6 +21,7 @@ from .arith import (
     det,
     kernel_basis,
     matrix_rank,
+    maximal_minors,
     solve_exact,
 )
 from .errors import (
@@ -31,7 +31,6 @@ from .errors import (
     Mismatch,
     NotConnected,
     NotOnLambda,
-    RankDeficient,
     ZeroCoordinate,
     ZeroVector,
 )
@@ -62,15 +61,17 @@ class Configuration:
 
     a       - arith.Matrix, r x n, full row rank
     r, n    - shape
-    matroid - column matroid of a
+    minors  - {column mask: det(A_B)} over the bases B (arith.maximal_minors)
+    matroid - column matroid of a, read from minors
     """
 
-    __slots__ = ("a", "r", "n", "matroid", "_psi", "_qw")
+    __slots__ = ("a", "r", "n", "minors", "matroid", "_psi", "_qw")
 
-    def __init__(self, a: Matrix, matroid: Matroid):
+    def __init__(self, a: Matrix, minors: dict, matroid: Matroid):
         self.a = a
         self.r = a.nrows
         self.n = a.ncols
+        self.minors = minors
         self.matroid = matroid
         self._psi = None
         self._qw = None
@@ -106,17 +107,18 @@ class XRankClass(Enum):
 
 
 def config_new(a: Matrix, allow_loops: bool = False) -> Configuration:
-    """Validate a matrix as a configuration and attach its matroid."""
+    """Validate a matrix as a configuration and attach its maximal minors
+    and matroid."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
-    if matrix_rank(a) < r:
-        raise RankDeficient("row rank below %d" % r)
+    minors = maximal_minors(a)
+    matroid = matroid_from_matrix(a, minors)
     if not allow_loops:
         for j in range(n):
             if all(not a[i, j] for i in range(r)):
                 raise HasLoops("column %d is zero (a loop)" % (j + 1))
-    return Configuration(a, matroid_from_matrix(a))
+    return Configuration(a, minors, matroid)
 
 
 def config_from_graph(edges, allow_loops: bool = False) -> Configuration:
@@ -158,25 +160,28 @@ def q_w_matrix(c: Configuration) -> Matrix:
     return c._qw
 
 
+def first_basis(c: Configuration) -> tuple:
+    """The lexicographically first basis, as 0-based columns: the pivot
+    columns of the row echelon form."""
+    return tuple(e - 1 for e in min(map(elements_of, c.minors)))
+
+
 def psi_basis_expansion(c: Configuration) -> MultiPoly:
     """Sum over bases B of det(A_B)^2 times the squarefree monomial of B."""
     if c._psi is not None:
         return c._psi
-    variables = x_variables(c.n)
-    terms = {}
-    for cols in combinations(range(c.n), c.r):
-        minor = det(c.a.column_submatrix(cols))
-        if minor:
-            mono = [0] * c.n
-            for k in cols:
-                mono[k] = 1
-            terms[tuple(mono)] = minor * minor
-    c._psi = MultiPoly(variables, terms)
+    terms = {
+        tuple(cols >> k & 1 for k in range(c.n)): minor * minor
+        for cols, minor in c.minors.items()
+    }
+    c._psi = MultiPoly(x_variables(c.n), terms)
     return c._psi
 
 
 def psi_det(c: Configuration) -> MultiPoly:
-    """Symbolic determinant of A diag(x) A^T; cross-checked against the basis expansion."""
+    """Symbolic determinant of A diag(x) A^T; cross-checked against the basis
+    expansion.  The determinant route reads only q_w_matrix, never the minor
+    table, so the two routes are independent."""
     p = det(q_w_matrix(c))
     if p != psi_basis_expansion(c):
         raise Mismatch("determinant route disagrees with the basis expansion")
@@ -316,13 +321,9 @@ def dual_config(c: Configuration) -> Configuration:
     identity psi_W(beta) = psi_dual(1/beta) * prod(beta) hold on the nose.
     """
     c0 = kernel_basis(c.a)
-    first_basis = next(
-        cols
-        for cols in combinations(range(c.n), c.r)
-        if det(c.a.column_submatrix(cols))
-    )
-    complement = [j for j in range(c.n) if j not in first_basis]
-    d_primal = det(c.a.column_submatrix(first_basis))
+    first = first_basis(c)
+    complement = [j for j in range(c.n) if j not in first]
+    d_primal = c.minors[mask_of(j + 1 for j in first)]
     d_dual = det(c0.column_submatrix(complement))
     scale = (
         d_primal / d_dual

@@ -12,7 +12,7 @@ from __future__ import annotations
 from itertools import combinations
 from types import MappingProxyType
 
-from .arith import Matrix, matrix_rank
+from .arith import Matrix, maximal_minors
 from .errors import (
     Degenerate,
     DisconnectedGraph,
@@ -342,18 +342,18 @@ def uniform_matroid(r, n) -> Matroid:
     )
 
 
-def matroid_from_matrix(a: Matrix) -> Matroid:
-    """Column matroid of a full-row-rank matrix."""
+def matroid_from_matrix(a: Matrix, minors: dict | None = None) -> Matroid:
+    """Column matroid of a full-row-rank matrix.  Its bases are the column
+    sets of the nonzero maximal minors: the keys of minors, the table of
+    arith.maximal_minors, which is computed when not given."""
     r, n = a.nrows, a.ncols
     if r == 0 or r == n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
-    if matrix_rank(a) < r:
+    if minors is None:
+        minors = maximal_minors(a)
+    if not minors:
         raise RankDeficient("row rank below %d" % r)
-    bases = []
-    for cols in combinations(range(n), r):
-        if matrix_rank(a.column_submatrix(cols)) == r:
-            bases.append(mask_of(c + 1 for c in cols))
-    return Matroid(n, bases, check=False)
+    return Matroid(n, minors, check=False)
 
 
 def _vertices(edges):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from confan.arith import (
     factor_rows,
     kernel_basis,
     matrix_rank,
+    maximal_minors,
     poly_lead_term,
     solve_exact,
 )
@@ -20,6 +22,7 @@ from confan.arith import (
 from .oracles import minors_rank_and_index, naive_det
 
 XY = ("x", "y")
+XYZ = ("x", "y", "z")
 
 
 def xvar():
@@ -180,6 +183,142 @@ class TestMatrix:
         m = Matrix((), ncols=3)
         assert m.nrows == 0
         assert matrix_rank(m) == 0
+
+
+FIELDS = ("Z", "Q", "F2", "F7")
+
+
+def scalars(field):
+    """Small scalars of one field; over Q with denominators up to 8."""
+    if field == "Z":
+        return st.integers(-4, 4)
+    if field == "Q":
+        denominators = st.sampled_from((1, 2, 3, 4, 8))
+        return st.builds(Fraction, st.integers(-4, 4), denominators)
+    p = int(field[1:])
+    return st.builds(Fp, st.integers(0, p - 1), st.just(p))
+
+
+@st.composite
+def minor_matrices(draw):
+    """(rows, field): r x n, 1 <= r <= 4, r <= n <= 6, over Z, Q or F_7.
+    Half of the time one column is made plain int zeros, and for r >= 3
+    half of the time the last row is a combination of the first two."""
+    field = draw(st.sampled_from(("Z", "Q", "F7")))
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, min(n, 4)))
+    rows = [[draw(scalars(field)) for _ in range(n)] for _ in range(r)]
+    if draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in rows:
+            row[j] = 0
+    if r >= 3 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    return rows, field
+
+
+class TestMaximalMinors:
+    @given(minor_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_det_on_every_subset(self, case):
+        rows, field = case
+        r, n = len(rows), len(rows[0])
+        table = maximal_minors(Matrix(rows))
+        nonzero = 0
+        for cols in combinations(range(n), r):
+            d = naive_det([[row[j] for j in cols] for row in rows])
+            mask = sum(1 << j for j in cols)
+            if d:
+                nonzero += 1
+                assert table[mask] == d
+            else:
+                assert mask not in table
+        assert len(table) == nonzero
+        for d in table.values():
+            if field == "F7":
+                assert isinstance(d, Fp) and d.p == 7
+            elif field == "Z":
+                assert type(d) is int
+
+    def test_rows_cleared_by_different_scales(self):
+        rows = (
+            (Fraction(1, 2), 1, Fraction(-3, 4)),
+            (1, Fraction(1, 3), 2),
+        )
+        table = maximal_minors(Matrix(rows))
+        assert table == {
+            0b011: Fraction(1, 6) - 1,
+            0b101: 1 + Fraction(3, 4),
+            0b110: 2 + Fraction(1, 4),
+        }
+
+    def test_rank_deficient_is_empty(self):
+        assert maximal_minors(Matrix(((1, 2, 3), (2, 4, 6)))) == {}
+        assert maximal_minors(Matrix(((0, 0, 0), (1, 2, 3)))) == {}
+        singular = ((Fp(1, 5), Fp(2, 5)), (Fp(3, 5), Fp(1, 5)))
+        assert maximal_minors(Matrix(singular)) == {}
+
+
+@st.composite
+def poly_matrices(draw):
+    """(rows, field): square matrices of size 1..3 in x, y, z whose entries
+    are zero, constants, or polynomials of total degree <= 3 with up to
+    three terms; entry (0, 0) is always a MultiPoly, and one row is zero a
+    fifth of the time."""
+    field = draw(st.sampled_from(FIELDS))
+    size = draw(st.integers(1, 3))
+    monos = st.tuples(*[st.integers(0, 3)] * 3).filter(lambda m: sum(m) <= 3)
+    coeff = scalars(field)
+
+    def poly():
+        terms = draw(st.dictionaries(monos, coeff, max_size=3))
+        return MultiPoly(XYZ, terms)
+
+    def entry():
+        kind = draw(st.sampled_from(("poly", "poly", "constant", "zero")))
+        if kind == "poly":
+            return poly()
+        return draw(coeff) if kind == "constant" else 0
+
+    rows = [[entry() for _ in range(size)] for _ in range(size)]
+    rows[0][0] = poly()
+    if draw(st.integers(0, 4)) == 0:
+        i = draw(st.integers(0, size - 1))
+        rows[i] = [MultiPoly.zero(XYZ) if j == 0 else 0 for j in range(size)]
+    return rows, field
+
+
+class TestPolyDet:
+    @given(poly_matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_naive_det(self, case):
+        rows, field = case
+        d = det(Matrix(rows))
+        assert isinstance(d, MultiPoly)
+        assert d == naive_det(rows)
+        if field.startswith("F"):
+            assert all(isinstance(c, Fp) for c in d.terms.values())
+
+    def test_exponent_fills_the_packed_field(self):
+        # the degree bound is 3 + 3 + 1 = 7, three bits per variable, and
+        # x reaches 7: a carry into y's field would show
+        x, y = MultiPoly.var(XY, 0), MultiPoly.var(XY, 1)
+        rows = ((x ** 3, y ** 3, 0), (0, x ** 3, 1), (0, 0, x + y))
+        assert det(Matrix(rows)) == x ** 7 + x ** 6 * y
+        assert det(Matrix(rows)) == naive_det(rows)
+
+    def test_per_row_denominators(self):
+        x, y = MultiPoly.var(XY, 0), MultiPoly.var(XY, 1)
+        rows = (
+            (x * Fraction(1, 2), Fraction(1, 3)),
+            (y * Fraction(3, 4), x + y * Fraction(1, 8)),
+        )
+        assert det(Matrix(rows)) == naive_det(rows)
+
+    def test_variable_lists_must_agree(self):
+        with pytest.raises(ValueError):
+            det(Matrix(((xvar(), 0), (0, MultiPoly.var(("x", "z"), 0)))))
 
 
 @st.composite

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confan.arith import Fp, Matrix, MultiPoly, matrix_rank
+from confan.arith import Fp, Matrix, MultiPoly, det, matrix_rank
 from confan.config import (
     Point,
     XRankClass,
@@ -33,6 +33,7 @@ from confan.config import (
 from confan.errors import (
     Degenerate,
     HasLoops,
+    Mismatch,
     NotConnected,
     NotOnLambda,
     RankDeficient,
@@ -41,7 +42,7 @@ from confan.errors import (
 from confan.matroid import elements_of, mask_of, rank_of, subset_label
 
 from .conftest import random_config
-from .oracles import spanning_tree_count
+from .oracles import naive_det, spanning_tree_count
 
 
 class TestConstruction:
@@ -60,6 +61,22 @@ class TestConstruction:
     def test_degenerate_square(self):
         with pytest.raises(Degenerate):
             config_new(Matrix(((1,),)))
+
+    def test_error_order(self):
+        # Degenerate before RankDeficient before HasLoops
+        with pytest.raises(Degenerate):
+            config_new(Matrix(((0, 0), (0, 0))))
+        with pytest.raises(RankDeficient):
+            config_new(Matrix(((1, 0, 2), (2, 0, 4))))
+        with pytest.raises(HasLoops):
+            config_new(Matrix(((1, 0, 2), (0, 0, 1))))
+
+    def test_minor_table_is_kept(self, square_chord_config):
+        c = square_chord_config
+        assert set(c.minors) == set(c.matroid.bases)
+        for mask, minor in c.minors.items():
+            cols = [e - 1 for e in elements_of(mask)]
+            assert minor == naive_det([[row[j] for j in cols] for row in c.a.rows])
 
     def test_graph_square_with_chord(self, square_chord_config):
         edges = [("a", "c"), ("a", "b"), ("c", "d"), ("b", "c"), ("d", "a")]
@@ -103,6 +120,17 @@ class TestPsi:
         for _ in range(20):
             c = random_config(rng, max_n=7)
             assert psi_det(c) == psi_basis_expansion(c)
+
+    def test_det_route_ignores_the_minor_table(self):
+        rows = ((1, 0, 0, 1, 1), (0, 1, 0, 1, 0), (0, 0, 1, 0, 2))
+        psi = psi_basis_expansion(config_new(Matrix(rows)))
+        c = config_new(Matrix(rows))
+        c.minors[min(c.minors)] *= 2
+        # the determinant route still gives the untampered psi, so the
+        # cross-check fails: its pass is earned
+        assert det(q_w_matrix(c)) == psi
+        with pytest.raises(Mismatch):
+            psi_det(c)
 
     def test_fp_config_psi(self):
         c = config_new(
