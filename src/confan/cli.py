@@ -13,55 +13,15 @@ import json
 import os
 import sys
 
-from .charp import (
-    fedder_witness,
-    lead_term_certificate,
-    row_reduce_to_standard,
-    spair_reduction_check,
-)
-from .classes import (
-    a_invariant,
-    chow_bidegree,
-    cohomology_basis,
-    is_truncation_boundary,
-    motivic_class,
-    resolution_betti,
-)
-from .config import psi_basis_expansion, psi_det
 from .errors import ConfanError, ParseError, VerificationFailure
-from .fans import (
-    bergman_fan,
-    biflat_label,
-    delta_fan,
-    delta_tilde_fan,
-    divisor_incidence,
-    fan_to_json,
-    fibre_fan,
-    is_unimodular,
-    maps_into_coordinate_fan,
-    refines,
-    square_conormal_fan,
-)
-from .inputs import load_configuration, load_matroid
-from .matroid import (
-    char_poly,
-    dual,
-    flats,
-    is_connected,
-    is_round,
-    loops_of,
-    parse_subset_label,
-    rank_of,
-    reduced_char_poly,
-    subset_label,
-)
 
-FAN_BUILDERS = {
-    "bergman": bergman_fan,
-    "square-conormal": square_conormal_fan,
-    "delta": delta_fan,
-    "delta-tilde": delta_tilde_fan,
-}
+# Each command imports the layers it runs inside its own body, so a job
+# compiles only those: without a bytecode cache, compiling is most of a
+# short job's start-up.  Commands that reach exact arithmetic import arith
+# first: it is the largest module, and compiled before the layers that use
+# it, its compile needs less fresh memory (a lower peak RSS).
+# `fan --which K` builds with confan.fans.K_fan, "-" read as "_".
+FAN_KINDS = ("bergman", "delta", "delta-tilde", "square-conormal")
 
 
 def _ground_cap() -> int:
@@ -73,6 +33,19 @@ def _ground_cap() -> int:
 
 
 def cmd_matroid_info(args, cap):
+    from .inputs import load_matroid
+    from .matroid import (
+        char_poly,
+        dual,
+        flats,
+        is_connected,
+        is_round,
+        loops_of,
+        rank_of,
+        reduced_char_poly,
+        subset_label,
+    )
+
     m = load_matroid(args.input, args.format, cap)
     lattice = flats(m)
     full = m.ground
@@ -123,6 +96,10 @@ def cmd_matroid_info(args, cap):
 
 
 def cmd_psi(args, cap):
+    from . import arith  # noqa: F401 (first, see above)
+    from .config import psi_basis_expansion, psi_det
+    from .inputs import load_configuration
+
     c = load_configuration(args.input, args.format, cap)
     psi = psi_basis_expansion(c)
     lines = ["psi = %s" % psi]
@@ -135,8 +112,11 @@ def cmd_psi(args, cap):
 
 
 def cmd_fan(args, cap):
+    from . import arith, fans  # noqa: F401 (arith first, see above)
+    from .inputs import load_matroid
+
     m = load_matroid(args.input, args.format, cap)
-    fan = FAN_BUILDERS[args.which](m)
+    fan = getattr(fans, args.which.replace("-", "_") + "_fan")(m)
     maxes = fan.maximal_cones()
     # rank <= ray count, so cones no larger than the best rank cannot raise
     # it; a pure fan needs a single rank
@@ -158,7 +138,7 @@ def cmd_fan(args, cap):
     if args.verify_unimodular:
         # a face of a unimodular simplicial cone is unimodular: its
         # generators are part of a lattice basis
-        bad = [c for c in maxes if not is_unimodular(fan, c)]
+        bad = [c for c in maxes if not fans.is_unimodular(fan, c)]
         verify["unimodular"] = "pass" if not bad else "fail"
         if bad:
             failures.append(
@@ -168,8 +148,8 @@ def cmd_fan(args, cap):
         else:
             lines.append("unimodular: pass")
     if args.verify_maps:
-        bad1 = [c for c in maxes if not maps_into_coordinate_fan(fan, c, "first", "plus")]
-        bad2 = [c for c in maxes if not maps_into_coordinate_fan(fan, c, "second", "minus")]
+        bad1 = [c for c in maxes if not fans.maps_into_coordinate_fan(fan, c, "first", "plus")]
+        bad2 = [c for c in maxes if not fans.maps_into_coordinate_fan(fan, c, "second", "minus")]
         verify["pi1"] = "pass" if not bad1 else "fail"
         verify["minus_pi2"] = "pass" if not bad2 else "fail"
         if bad1:
@@ -186,16 +166,16 @@ def cmd_fan(args, cap):
         else:
             lines.append("-π2: pass")
     if args.verify_refines:
-        fine = fan if args.which == "delta-tilde" else delta_tilde_fan(m)
-        coarse = fan if args.which == "delta" else delta_fan(m)
-        ok = refines(fine, coarse)
+        fine = fan if args.which == "delta-tilde" else fans.delta_tilde_fan(m)
+        coarse = fan if args.which == "delta" else fans.delta_fan(m)
+        ok = fans.refines(fine, coarse)
         verify["refines"] = "pass" if ok else "fail"
         if ok:
             lines.append("refines: pass")
         else:
             failures.append("refines: FAIL")
     # every face of the fan, sorted: built only when it is printed
-    payload = fan_to_json(fan) if args.output == "json" else {}
+    payload = fans.fan_to_json(fan) if args.output == "json" else {}
     payload["which"] = args.which
     if verify:
         payload["verify"] = verify
@@ -203,6 +183,11 @@ def cmd_fan(args, cap):
 
 
 def cmd_resolve_report(args, cap):
+    from . import arith  # noqa: F401 (first, see above)
+    from .fans import divisor_incidence, fibre_fan
+    from .inputs import load_matroid
+    from .matroid import parse_subset_label
+
     m = load_matroid(args.input, args.format, cap)
     try:
         fmask = parse_subset_label(args.flat, m.n)
@@ -233,6 +218,17 @@ def cmd_resolve_report(args, cap):
 
 
 def cmd_classes(args, cap):
+    from .classes import (
+        a_invariant,
+        chow_bidegree,
+        cohomology_basis,
+        is_truncation_boundary,
+        motivic_class,
+        resolution_betti,
+    )
+    from .inputs import load_matroid
+    from .matroid import is_round
+
     m = load_matroid(args.input, args.format, cap)
     lam = motivic_class(m)
     bi = chow_bidegree(m.n, m.r)
@@ -265,6 +261,15 @@ def cmd_classes(args, cap):
 
 
 def cmd_charp(args, cap):
+    from . import arith  # noqa: F401 (first, see above)
+    from .charp import (
+        fedder_witness,
+        lead_term_certificate,
+        row_reduce_to_standard,
+        spair_reduction_check,
+    )
+    from .inputs import load_configuration
+
     c = load_configuration(args.input, args.format, cap)
     std, perm = row_reduce_to_standard(c)
     cert = lead_term_certificate(std)
@@ -323,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_psi.set_defaults(fn=cmd_psi)
 
     p_fan = sub.add_parser("fan", parents=[common])
-    p_fan.add_argument("--which", choices=sorted(FAN_BUILDERS), required=True)
+    p_fan.add_argument("--which", choices=FAN_KINDS, required=True)
     p_fan.add_argument("--verify-unimodular", action="store_true")
     p_fan.add_argument("--verify-maps", action="store_true")
     p_fan.add_argument("--verify-refines", action="store_true")

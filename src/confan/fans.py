@@ -159,15 +159,13 @@ class Fan:
     ray_data - optional tuple of (F, G) mask pairs when rays index biflats
 
     The cones passed in may be any family whose faces are the fan's cones;
-    the members that lie in no other member are kept.
+    the members that lie in no other member are kept.  Fan.from_maximal
+    takes a family that is already the maximal cones and keeps it as given.
     """
 
     __slots__ = ("n", "rays", "labels", "maximal", "ray_data")
 
     def __init__(self, n, rays, labels, cones, ray_data=None):
-        self.n = n
-        self.rays = tuple(rays)
-        self.labels = tuple(labels)
         cones = {frozenset(c) for c in cones} | {frozenset()}
         covered = set()
         maximal = []
@@ -176,6 +174,20 @@ class Fan:
             if c not in covered:
                 maximal.append(c)
                 covered.update(_faces(c))
+        self._fill(n, rays, labels, maximal, ray_data)
+
+    @classmethod
+    def from_maximal(cls, n, rays, labels, maximal, ray_data=None):
+        """The fan whose maximal cones are the given frozensets, none inside
+        another (the trivial fan: the origin alone); nothing is reduced."""
+        fan = cls.__new__(cls)
+        fan._fill(n, rays, labels, maximal, ray_data)
+        return fan
+
+    def _fill(self, n, rays, labels, maximal, ray_data):
+        self.n = n
+        self.rays = tuple(rays)
+        self.labels = tuple(labels)
         self.maximal = tuple(sorted(maximal, key=sorted))
         self.ray_data = None if ray_data is None else tuple(ray_data)
 
@@ -309,7 +321,7 @@ def delta_tilde_fan(m: Matroid) -> Fan:
     rays become e_F - f_(G minus F)."""
     base = square_conormal_fan(m)
     rays = [mu_apply(v, "minus").primitive() for v in base.rays]
-    return Fan(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
+    return Fan.from_maximal(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
 
 
 def delta_fan(m: Matroid) -> Fan:
@@ -330,10 +342,11 @@ def delta_fan(m: Matroid) -> Fan:
         shifted = LatticeVector((0,) * n, v.e)
         rays.append(mu_apply(shifted, "minus").primitive())
         labels.append("*" + lab)
+    # a product cone is maximal exactly when both factors are
     cones = [
         c1 | {i + off for i in c2} for c1 in left.maximal for c2 in right.maximal
     ]
-    return Fan(n, rays, labels, cones)
+    return Fan.from_maximal(n, rays, labels, cones)
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,8 @@ Formats:
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .arith import Fp, Matrix, MultiPoly, _is_prime
-from .config import Configuration, config_from_graph, config_new
 from .errors import ParseError
 from .matroid import (
     Matroid,
@@ -23,8 +21,19 @@ from .matroid import (
     matroid_from_matrix,
 )
 
+# Graph and basis inputs never need exact arithmetic or configurations: the
+# matrix and configuration routes import arith, config and fractions
+# themselves.
+if TYPE_CHECKING:
+    from .arith import Matrix, MultiPoly
+    from .config import Configuration
+
 
 def parse_scalar(text, field: str = "Q", p: int | None = None):
+    from fractions import Fraction
+
+    from .arith import Fp
+
     try:
         fr = Fraction(str(text))
     except (ValueError, ZeroDivisionError):
@@ -37,6 +46,8 @@ def parse_scalar(text, field: str = "Q", p: int | None = None):
 
 
 def matrix_from_json(data) -> Matrix:
+    from .arith import Matrix, _is_prime
+
     if not isinstance(data, dict) or "rows" not in data:
         raise ParseError("matrix JSON needs a 'rows' key")
     field = data.get("field", "Q")
@@ -143,6 +154,8 @@ def load_matroid(path: str, fmt: str | None = None, max_n: int | None = None) ->
 def load_configuration(
     path: str, fmt: str | None = None, max_n: int | None = None
 ) -> Configuration:
+    from .config import config_from_graph, config_new
+
     fmt = fmt or detect_format(path)
     if fmt == "graph":
         edges = parse_graph_text(_read(path))
@@ -166,6 +179,10 @@ def _check_cap(n: int, max_n: int | None):
 
 def parse_poly(text: str, variables) -> MultiPoly:
     """Inverse of the polynomial printer, over the rationals."""
+    from fractions import Fraction
+
+    from .arith import MultiPoly
+
     variables = tuple(variables)
     index = {v: i for i, v in enumerate(variables)}
     text = text.strip().replace(" ", "")

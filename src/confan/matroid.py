@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from itertools import combinations
 from types import MappingProxyType
+from typing import TYPE_CHECKING
 
-from .arith import Matrix, maximal_minors
 from .errors import (
     Degenerate,
     DisconnectedGraph,
@@ -21,6 +21,10 @@ from .errors import (
     NonDivisible,
     RankDeficient,
 )
+
+# only matroid_from_matrix needs exact arithmetic; it imports arith itself
+if TYPE_CHECKING:
+    from .arith import Matrix
 
 
 def mask_of(elements) -> int:
@@ -346,6 +350,8 @@ def matroid_from_matrix(a: Matrix, minors: dict | None = None) -> Matroid:
     """Column matroid of a full-row-rank matrix.  Its bases are the column
     sets of the nonzero maximal minors: the keys of minors, the table of
     arith.maximal_minors, which is computed when not given."""
+    from .arith import maximal_minors
+
     r, n = a.nrows, a.ncols
     if r == 0 or r == n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
+import confan.fans
 from confan.charp import certificate_from_json
-from confan.cli import FAN_BUILDERS, main
+from confan.cli import main
 from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
 from confan.matroid import Matroid
 
@@ -155,7 +156,7 @@ class TestFan:
         rays = (LatticeVector((1, 0, 0), (0, 0, 0)),
                 LatticeVector((1, 2, 0), (0, 0, 0)))
         index_two = Fan(3, rays, ("a", "b"), [frozenset([0, 1])])
-        monkeypatch.setitem(FAN_BUILDERS, "delta", lambda m: index_two)
+        monkeypatch.setattr(confan.fans, "delta_fan", lambda m: index_two)
         argv = ["fan", str(data_dir / "square_chord.graph"), "--which", "delta",
                 "--verify-unimodular"]
         code, out, _ = run_cli(capsys, *argv)
@@ -177,7 +178,7 @@ class TestFan:
                 f(1, 0, 0), f(0, 1, 0), e(0, 0, 1))
         mixed = Fan(3, rays, "abcdefg", [frozenset(range(4)), frozenset({4, 5, 6})])
         assert [mixed.cone_dim(c) for c in mixed.maximal_cones()] == [2, 3]
-        monkeypatch.setitem(FAN_BUILDERS, "delta", lambda m: mixed)
+        monkeypatch.setattr(confan.fans, "delta_fan", lambda m: mixed)
         code, out, _ = run_cli(
             capsys, "fan", str(data_dir / "square_chord.graph"), "--which", "delta"
         )

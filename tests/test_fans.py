@@ -273,6 +273,27 @@ class TestMaximalStorage:
     def test_trivial_fan_keeps_the_origin(self):
         assert Fan(3, [], [], []).maximal == (frozenset(),)
         assert Fan(3, [], [], [[]]).cones == {frozenset()}
+        assert Fan.from_maximal(3, [], [], [frozenset()]) == Fan(3, [], [], [])
+
+    def test_from_maximal_keeps_the_family(self):
+        rays = [lattice_e(mask_of([i]), 5) for i in (1, 2, 3, 4)]
+        family = [frozenset({2, 3}), frozenset({0, 1, 2})]
+        fan = Fan.from_maximal(5, rays, "abcd", family)
+        assert fan.maximal == (frozenset({0, 1, 2}), frozenset({2, 3}))
+        assert fan == Fan(5, rays, "abcd", family + [frozenset({1})])
+        # nothing is reduced: a family with a face in it is the caller's error
+        kept = Fan.from_maximal(5, rays, "abcd", [frozenset({0}), frozenset({0, 1})])
+        assert kept.maximal == (frozenset({0}), frozenset({0, 1}))
+
+    @pytest.mark.parametrize("which", ["delta", "delta-tilde"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_kept_family_is_already_reduced(self, name, which):
+        n, bases = ORACLE_MATROIDS[name]
+        fan = BUILDERS[which](matroid_from_bases(n, bases))
+        again = Fan(fan.n, fan.rays, fan.labels, fan.maximal, fan.ray_data)
+        assert fan == again
+        assert fan.maximal == again.maximal
+        assert fan.ray_data == again.ray_data
 
 
 class TestDeltaFans:
