@@ -39,7 +39,6 @@ def cmd_matroid_info(args, cap):
         dual,
         flats,
         is_connected,
-        is_round,
         loops_of,
         rank_of,
         reduced_char_poly,
@@ -65,7 +64,7 @@ def cmd_matroid_info(args, cap):
         flat_report[k] = labels
         lines.append("flats rank %d: %s" % (k, ", ".join(labels)))
     connected = is_connected(m)
-    round_ = is_round(m)
+    round_ = not nonround
     lines.append("connected: %s" % str(connected).lower())
     lines.append("round: %s" % str(round_).lower())
     lines.append(

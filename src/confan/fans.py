@@ -294,34 +294,46 @@ def biflat_label(pair, n: int) -> str:
     return "%s⊆%s" % (subset_label(pair[0], n), subset_label(pair[1], n))
 
 
-def square_conormal_fan(m: Matroid) -> Fan:
-    """Fan on rays -e_F + f_G over square biflats; cones are biflag chains
-    (both components decreasing) whose union of G minus F stays proper."""
-    pairs = square_biflats(m)
-    n = m.n
-    full = m.ground
+def _within(a, b):
+    """Both components of the biflat a lie in those of b."""
+    return a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
+
+
+def _proper_union(chain, diffs, full) -> bool:
+    """Whether the union of diffs[i] over i in chain leaves an element of
+    full out; diffs[i] is the mask G minus F of the i-th biflat."""
+    union = 0
+    for i in chain:
+        union |= diffs[i]
+    return union != full
+
+
+def _biflag_fan(m: Matroid, pairs) -> Fan:
+    """Fan on rays -e_F + f_G over the given square biflats; cones are the
+    biflag chains, each biflat within the next, whose union of G minus F
+    stays proper.  Those chains are closed under subchains, so over any set
+    of square biflats this is the part of the full fan that the set spans."""
+    n, full = m.n, m.ground
     rays = [biflat_ray(f, g, n).primitive() for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
-
-    def below(a, b):
-        return a != b and a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
-
-    def admissible(chain):
-        union = 0
-        for i in chain:
-            union |= pairs[i][1] & ~pairs[i][0]
-        return union != full
-
-    cones = _chains(pairs, below, admissible)
+    diffs = [g & ~f for f, g in pairs]
+    cones = _chains(
+        pairs,
+        lambda a, b: a != b and _within(a, b),
+        lambda chain: _proper_union(chain, diffs, full),
+    )
     return Fan(n, rays, labels, cones, ray_data=pairs)
+
+
+def square_conormal_fan(m: Matroid) -> Fan:
+    """Fan on rays -e_F + f_G over all square biflats (_biflag_fan)."""
+    return _biflag_fan(m, square_biflats(m))
 
 
 def delta_tilde_fan(m: Matroid) -> Fan:
     """Image of the square conormal fan under the negative shear;
-    rays become e_F - f_(G minus F)."""
-    base = square_conormal_fan(m)
-    rays = [mu_apply(v, "minus").primitive() for v in base.rays]
-    return Fan.from_maximal(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
+    rays become e_F - f_(G minus F).  It is the fibre over (E, E)."""
+    return fibre_fan(m, m.ground, m.ground)
 
 
 def delta_fan(m: Matroid) -> Fan:
@@ -457,8 +469,7 @@ def refines(fine: Fan, coarse: Fan) -> bool:
 
 def divisor_incidence(biflats, n: int) -> bool:
     """Whether the given distinct square biflats admit a common cone: they
-    must sort into a chain decreasing in both components with the union of
-    the differences staying proper."""
+    must sort into a biflag chain whose union of G minus F stays proper."""
     if not biflats:
         raise ValueError("empty biflat list")
     pairs = sorted(
@@ -467,39 +478,23 @@ def divisor_incidence(biflats, n: int) -> bool:
     )
     if len(pairs) != len(biflats):
         raise ValueError("biflats must be distinct")
-    union = 0
-    full = (1 << n) - 1
-    for (f1, g1), (f2, g2) in zip(pairs, pairs[1:]):
-        if f1 & f2 != f2 or g1 & g2 != g2:
-            return False
-    for f, g in pairs:
-        union |= g & ~f
-    return union != full
+    return all(_within(b, a) for a, b in zip(pairs, pairs[1:])) and _proper_union(
+        range(len(pairs)), [g & ~f for f, g in pairs], (1 << n) - 1
+    )
 
 
 def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
-    """Subfan of the fine resolution fan on rays whose biflat (F', G')
-    satisfies F' within the given flat and G' minus F' within the subset."""
-    lattice = flats(m)
-    if flat not in lattice.rank:
+    """The subfan of the fine resolution fan (delta_tilde_fan) on the rays
+    whose biflat (F', G') has F' within the given flat and G' minus F' within
+    the subset: the negative shear of the biflag fan on those biflats alone."""
+    if flat not in flats(m).rank:
         raise NotAFlat("%s is not a flat" % subset_label(flat, m.n))
-    big = delta_tilde_fan(m)
-    keep = [
-        i
-        for i, (f, g) in enumerate(big.ray_data)
-        if f & ~flat == 0 and (g & ~f) & ~subset == 0
+    kept = [
+        (f, g) for f, g in square_biflats(m) if f & ~flat == 0 and g & ~f & ~subset == 0
     ]
-    reindex = {old: new for new, old in enumerate(keep)}
-    # a face of the big fan with every ray kept lies in the kept part of a
-    # maximal cone, so those restrictions carry every face of the subfan
-    cones = [frozenset(reindex[i] for i in c if i in reindex) for c in big.maximal]
-    return Fan(
-        m.n,
-        [big.rays[i] for i in keep],
-        [big.labels[i] for i in keep],
-        cones,
-        ray_data=[big.ray_data[i] for i in keep],
-    )
+    base = _biflag_fan(m, kept)
+    rays = [mu_apply(v, "minus").primitive() for v in base.rays]
+    return Fan.from_maximal(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
 
 
 # ---------------------------------------------------------------------------

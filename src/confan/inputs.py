@@ -102,6 +102,8 @@ def bases_from_json(data, max_n: int | None = None) -> Matroid:
         raise ParseError("empty basis list")
     if any(not 1 <= e <= n for b in bases for e in b):
         raise ParseError("basis element out of range")
+    if any(len(set(b)) != len(b) for b in bases):
+        raise ParseError("basis repeats an element")
     try:
         m = Matroid(n, [mask_of(b) for b in bases], check=False)
         _check_cap(n, max_n)

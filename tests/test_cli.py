@@ -71,6 +71,14 @@ class TestMatroidInfo:
         assert out == ""
         assert err.startswith("parse error: not a matroid:")
 
+    def test_repeated_basis_element_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "repeats.bases.json"
+        path.write_text(json.dumps({"n": 3, "bases": [[1, 1], [2, 2]]}))
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == "parse error: basis repeats an element\n"
+
     @pytest.mark.parametrize(
         "bases", [[[1]], [[1, 2], [3, 4]]], ids=["matroid", "non-matroid"]
     )

@@ -1,5 +1,6 @@
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -79,6 +80,22 @@ BUILDERS = {
     "delta": delta_fan,
     "delta-tilde": delta_tilde_fan,
 }
+
+
+def fibre_cases():
+    """Every flat of each oracle matroid, with the subsets ∅, E and 2345."""
+    for name, (n, bases) in sorted(ORACLE_MATROIDS.items()):
+        full = frozenset(range(1, n + 1))
+        lattice = oracles.flats_by_closure(n, oracles.rank_from_bases(n, bases))
+        for flat in sorted(lattice, key=lambda f: (len(f), sorted(f))):
+            for subset in (frozenset(), full, frozenset({2, 3, 4, 5})):
+                labels = ("".join(map(str, sorted(s))) or "none" for s in (flat, subset))
+                yield pytest.param(name, flat, subset, id="%s-%s-%s" % (name, *labels))
+
+
+@lru_cache(maxsize=None)
+def delta_tilde_faces(name):
+    return oracles.fan_faces("delta-tilde", *ORACLE_MATROIDS[name])
 
 
 def as_vectors(fan, cones):
@@ -246,10 +263,10 @@ class TestMaximalStorage:
         fan = BUILDERS[which](matroid_from_bases(n, bases))
         assert_matches_oracle(fan, *oracles.fan_faces(which, n, bases))
 
-    def test_fibre_fan_matches_oracle(self):
-        n, bases = ORACLE_MATROIDS["square-chord"]
-        flat, subset = frozenset({1, 2, 4}), frozenset({2, 3, 4, 5})
-        faces, vector = oracles.fan_faces("delta-tilde", n, bases)
+    @pytest.mark.parametrize("name,flat,subset", fibre_cases())
+    def test_fibre_fan_matches_oracle(self, name, flat, subset):
+        n, bases = ORACLE_MATROIDS[name]
+        faces, vector = delta_tilde_faces(name)
         faces = {
             c for c in faces if all(f <= flat and g - f <= subset for f, g in c)
         }

@@ -37,11 +37,13 @@ def _cases():
                 "fan", name, "--which", "delta-tilde", "--verify-maps",
                 "--verify-unimodular", "--verify-refines", "--output", output,
             ]
-    for output in ("text", "json"):
-        cases["resolve-report-sq-%s" % output] = [
-            "resolve-report", "square_chord.graph", "--flat", "124",
-            "--subset", "2345", "--output", output,
-        ]
+    fibres = {"sq": ("square_chord.graph", "124"), "u25": ("u25.bases.json", "1")}
+    for tag, (name, flat) in fibres.items():
+        for output in ("text", "json"):
+            cases["resolve-report-%s-%s" % (tag, output)] = [
+                "resolve-report", name, "--flat", flat,
+                "--subset", "2345", "--output", output,
+            ]
     # matrix inputs: Q with integer entries, Q with a/2^k entries whose rows
     # clear to different scales, and F_7; each with the prime charp is run at
     matrices = {

@@ -84,6 +84,13 @@ class TestBasesJson:
         with pytest.raises(ParseError):
             bases_from_json({"n": 4, "bases": [[1, 2], [3, 4]]})
 
+    def test_repeated_element_rejected(self):
+        # read as sets, these would be the rank-1 matroid on {1, 2}
+        with pytest.raises(ParseError, match="basis repeats an element"):
+            bases_from_json({"n": 3, "bases": [[1, 1], [2, 2]]})
+        with pytest.raises(ParseError, match="basis repeats an element"):
+            bases_from_json({"n": 3, "bases": [[1, 2], [3, 3]]})
+
     def test_error_order_around_the_cap(self):
         # unequal sizes are found before the cap, exchange failures after it
         with pytest.raises(ParseError, match="not a matroid: bases of unequal size"):
