@@ -3,7 +3,8 @@ structural verification, resolution fibre reports, invariant classes, and
 positive-characteristic certificates.
 
 Exit codes: 0 success, 1 computation error, 2 parse error, 3 a verification
-check failed.  CONFIG_RESOLVE_MAX_N caps the ground-set size (default 12).
+check failed, 141 stdout closed before the output was written.
+CONFIG_RESOLVE_MAX_N caps the ground-set size (default 12).
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from .errors import ConfanError, ParseError, VerificationFailure
 
 # Each command imports the layers it runs inside its own body, so a job
 # compiles only those: without a bytecode cache, compiling is most of a
-# short job's start-up.  Commands that reach exact arithmetic import arith
-# first: it is the largest module, and compiled before the layers that use
-# it, its compile needs less fresh memory (a lower peak RSS).
+# short job's start-up.  `psi` and `charp`, the commands built on exact
+# arithmetic, import arith first: it is the largest module, and compiled
+# before the layers that use it, its compile needs less fresh memory (a
+# lower peak RSS).  The fan commands never load it on graph or basis input.
 # `fan --which K` builds with confan.fans.K_fan, "-" read as "_".
 FAN_KINDS = ("bergman", "delta", "delta-tilde", "square-conormal")
 
@@ -111,7 +113,7 @@ def cmd_psi(args, cap):
 
 
 def cmd_fan(args, cap):
-    from . import arith, fans  # noqa: F401 (arith first, see above)
+    from . import fans
     from .inputs import load_matroid
 
     m = load_matroid(args.input, args.format, cap)
@@ -182,7 +184,6 @@ def cmd_fan(args, cap):
 
 
 def cmd_resolve_report(args, cap):
-    from . import arith  # noqa: F401 (first, see above)
     from .fans import divisor_incidence, fibre_fan
     from .inputs import load_matroid
     from .matroid import parse_subset_label
@@ -366,13 +367,18 @@ def main(argv=None) -> int:
         payload = {"command": args.command, "seed": args.seed, **payload}
         if failures:
             payload["failures"] = failures
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+        out = json.dumps(payload, indent=2, ensure_ascii=False)
     else:
-        print("seed: %d" % args.seed)
-        for line in lines:
-            print(line)
-        for f in failures:
-            print(f)
+        out = "\n".join(["seed: %d" % args.seed, *lines, *failures])
+    try:
+        print(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): what is left unwritten
+        # goes to devnull, so the flush at exit stays quiet, and the status
+        # is the one a shell reports for SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     return 3 if failures else 0
 
 

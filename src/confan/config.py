@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from random import Random
+from typing import TYPE_CHECKING
 
 from .arith import (
     Fp,
@@ -31,20 +32,16 @@ from .errors import (
     Mismatch,
     NotConnected,
     NotOnLambda,
+    RankDeficient,
     ZeroCoordinate,
     ZeroVector,
 )
-from .matroid import (
-    Matroid,
-    _connected_components,
-    _vertices,
-    elements_of,
-    flats,
-    is_connected,
-    mask_of,
-    matroid_from_matrix,
-    rank_of,
-)
+
+# A configuration's matroid is built on first use, so the ψ and char-p
+# routes on matrix input never load the matroid layer: the functions that
+# read it import it themselves.
+if TYPE_CHECKING:
+    from .matroid import Matroid
 
 
 def x_variables(n: int):
@@ -62,19 +59,27 @@ class Configuration:
     a       - arith.Matrix, r x n, full row rank
     r, n    - shape
     minors  - {column mask: det(A_B)} over the bases B (arith.maximal_minors)
-    matroid - column matroid of a, read from minors
+    matroid - column matroid of a, read from minors on first use and kept
     """
 
-    __slots__ = ("a", "r", "n", "minors", "matroid", "_psi", "_qw")
+    __slots__ = ("a", "r", "n", "minors", "_matroid", "_psi", "_qw")
 
-    def __init__(self, a: Matrix, minors: dict, matroid: Matroid):
+    def __init__(self, a: Matrix, minors: dict):
         self.a = a
         self.r = a.nrows
         self.n = a.ncols
         self.minors = minors
-        self.matroid = matroid
+        self._matroid = None
         self._psi = None
         self._qw = None
+
+    @property
+    def matroid(self) -> Matroid:
+        if self._matroid is None:
+            from .matroid import matroid_from_matrix
+
+            self._matroid = matroid_from_matrix(self.a, self.minors)
+        return self._matroid
 
     def __repr__(self):
         return "Configuration(r=%d, n=%d)" % (self.r, self.n)
@@ -107,22 +112,24 @@ class XRankClass(Enum):
 
 
 def config_new(a: Matrix, allow_loops: bool = False) -> Configuration:
-    """Validate a matrix as a configuration and attach its maximal minors
-    and matroid."""
+    """Validate a matrix as a configuration and attach its maximal minors."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
     minors = maximal_minors(a)
-    matroid = matroid_from_matrix(a, minors)
+    if not minors:
+        raise RankDeficient("row rank below %d" % r)
     if not allow_loops:
         for j in range(n):
             if all(not a[i, j] for i in range(r)):
                 raise HasLoops("column %d is zero (a loop)" % (j + 1))
-    return Configuration(a, minors, matroid)
+    return Configuration(a, minors)
 
 
 def config_from_graph(edges, allow_loops: bool = False) -> Configuration:
     """Configuration of a connected graph: oriented incidence matrix, one vertex row dropped."""
+    from .matroid import _connected_components, _vertices
+
     edges = [tuple(e) for e in edges]
     vertices = _vertices(edges)
     if _connected_components(vertices, edges) != 1:
@@ -163,7 +170,11 @@ def q_w_matrix(c: Configuration) -> Matrix:
 def first_basis(c: Configuration) -> tuple:
     """The lexicographically first basis, as 0-based columns: the pivot
     columns of the row echelon form."""
-    return tuple(e - 1 for e in min(map(elements_of, c.minors)))
+    # the pivot columns are the greedy basis, which has the least weight
+    # among the bases for any weights rising with the column, 2^j too: the
+    # least mask
+    first = min(c.minors)
+    return tuple(j for j in range(c.n) if first >> j & 1)
 
 
 def psi_basis_expansion(c: Configuration) -> MultiPoly:
@@ -298,6 +309,8 @@ def x_rank_class(c: Configuration, beta) -> XRankClass:
 
 def nonround_flats(c: Configuration):
     """Proper flats F with rank(E minus F) below the rank; empty exactly when round."""
+    from .matroid import flats, is_connected, rank_of
+
     if not is_connected(c.matroid):
         raise NotConnected("stratum analysis needs a connected matroid")
     m = c.matroid
@@ -323,7 +336,7 @@ def dual_config(c: Configuration) -> Configuration:
     c0 = kernel_basis(c.a)
     first = first_basis(c)
     complement = [j for j in range(c.n) if j not in first]
-    d_primal = c.minors[mask_of(j + 1 for j in first)]
+    d_primal = c.minors[sum(1 << j for j in first)]
     d_dual = det(c0.column_submatrix(complement))
     scale = (
         d_primal / d_dual
@@ -392,7 +405,7 @@ def _random_combination(rows, rng: Random):
 
 def stratum_kernel(c: Configuration, flat: int) -> Matrix:
     """Basis of the w-space orthogonal to the columns in the flat."""
-    cols = [e - 1 for e in elements_of(flat)]
+    cols = [j for j in range(c.n) if flat >> j & 1]
     return kernel_basis(c.a.column_submatrix(cols).transpose())
 
 
@@ -402,6 +415,8 @@ def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
     Requires rank(E minus flat) < r.  beta is the indicator of the first
     j in the flat with rank({j} union complement) = rank(complement).
     """
+    from .matroid import elements_of, rank_of
+
     m = c.matroid
     full = m.ground
     outside = full & ~flat

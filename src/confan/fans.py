@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from math import gcd
 
-from .arith import factor_rows
 from .errors import (
     HasLoops,
     LoopOrColoop,
@@ -23,6 +22,7 @@ from .errors import (
     NotSimplicial,
     ParseError,
 )
+from .hermite import factor_rows
 from .matroid import (
     Matroid,
     coloops_of,
@@ -160,7 +160,8 @@ class Fan:
 
     The cones passed in may be any family whose faces are the fan's cones;
     the members that lie in no other member are kept.  Fan.from_maximal
-    takes a family that is already the maximal cones and keeps it as given.
+    takes a family that is already the maximal cones and keeps it as given;
+    the chain builders reduce their families with _maximal_chains.
     """
 
     __slots__ = ("n", "rays", "labels", "maximal", "ray_data")
@@ -220,7 +221,7 @@ class Fan:
         return self.maximal
 
     def factor(self, cone):
-        """The integer factor (arith.factor_rows) of the cone's generators,
+        """The integer factor (hermite.factor_rows) of the cone's generators,
         rows in Z^(2n-2) in the order of their ray indices."""
         rows = [self.rays[i].coords() for i in sorted(cone)]
         return factor_rows(rows, 2 * self.n - 2)
@@ -259,6 +260,17 @@ def _chains(items, below, admissible=lambda chain: True):
                 stack.append(longer)
 
 
+def _maximal_chains(chains):
+    """The inclusion-maximal members of a family of chains closed under
+    subchains (as _chains yields it), as frozensets.  A chain lies in a longer
+    member exactly when it is some member less one element, and a chain's
+    tuple is unique (its elements in decreasing order), so no face of a
+    longer chain need be listed."""
+    chains = list(chains)
+    covered = {c[:i] + c[i + 1:] for c in chains for i in range(len(c))}
+    return [frozenset(c) for c in chains if c not in covered]
+
+
 def bergman_fan(m: Matroid) -> Fan:
     """Fan of strict flags of nonempty proper flats, with rays e_F."""
     if loops_of(m):
@@ -267,7 +279,7 @@ def bergman_fan(m: Matroid) -> Fan:
     rays = [lattice_e(f, m.n) for f in props]
     labels = [subset_label(f, m.n) for f in props]
     cones = _chains(props, lambda a, b: a != b and a & b == a)
-    return Fan(m.n, rays, labels, cones)
+    return Fan.from_maximal(m.n, rays, labels, _maximal_chains(cones))
 
 
 def square_biflats(m: Matroid):
@@ -322,7 +334,7 @@ def _biflag_fan(m: Matroid, pairs) -> Fan:
         lambda a, b: a != b and _within(a, b),
         lambda chain: _proper_union(chain, diffs, full),
     )
-    return Fan(n, rays, labels, cones, ray_data=pairs)
+    return Fan.from_maximal(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
 
 
 def square_conormal_fan(m: Matroid) -> Fan:

@@ -14,19 +14,14 @@ import json
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
-from .matroid import (
-    Matroid,
-    mask_of,
-    matroid_from_graph,
-    matroid_from_matrix,
-)
 
-# Graph and basis inputs never need exact arithmetic or configurations: the
-# matrix and configuration routes import arith, config and fractions
-# themselves.
+# Graph and basis inputs never need exact arithmetic or configurations, and
+# configurations never need a matroid: each route imports arith, config,
+# fractions or matroid itself.
 if TYPE_CHECKING:
     from .arith import Matrix, MultiPoly
     from .config import Configuration
+    from .matroid import Matroid
 
 
 def parse_scalar(text, field: str = "Q", p: int | None = None):
@@ -93,6 +88,8 @@ def parse_graph_text(text: str):
 def bases_from_json(data, max_n: int | None = None) -> Matroid:
     """Matroid of a basis list.  The cap is checked after the basis sizes and
     before the rank table, which takes 2^n steps, validates the bases."""
+    from .matroid import Matroid, mask_of
+
     try:
         n = int(data["n"])
         bases = [[int(e) for e in b] for b in data["bases"]]
@@ -139,6 +136,8 @@ def _load_json(path: str):
 
 
 def load_matroid(path: str, fmt: str | None = None, max_n: int | None = None) -> Matroid:
+    from .matroid import matroid_from_graph, matroid_from_matrix
+
     fmt = fmt or detect_format(path)
     if fmt == "graph":
         edges = parse_graph_text(_read(path))

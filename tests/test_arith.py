@@ -11,13 +11,13 @@ from confan.arith import (
     MultiPoly,
     TermOrder,
     det,
-    factor_rows,
     kernel_basis,
     matrix_rank,
     maximal_minors,
     poly_lead_term,
     solve_exact,
 )
+from confan.hermite import factor_rows
 
 from .oracles import minors_rank_and_index, naive_det
 

@@ -412,3 +412,23 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "det check: pass" in proc.stdout
+
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, tree_env):
+        # the JSON fibre report of W4 (about 128 KB) outgrows the pipe, so
+        # closing it after the first line always fails a later write
+        wheel = tmp_path / "w4.graph"
+        wheel.write_text("h 1\nh 2\nh 3\nh 4\n1 2\n2 3\n3 4\n4 1\n")
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "confan.cli", "resolve-report", str(wheel),
+             "--flat", "1", "--subset", "E", "--output", "json"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=tree_env,
+            cwd=tmp_path,
+        )
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 141
+        assert stderr == b""

@@ -15,6 +15,7 @@ from confan.config import (
     config_new,
     dual_config,
     duality_map,
+    first_basis,
     hadamard_square,
     iota_differential_check,
     jacobian_rank,
@@ -39,7 +40,13 @@ from confan.errors import (
     RankDeficient,
     ZeroCoordinate,
 )
-from confan.matroid import elements_of, mask_of, rank_of, subset_label
+from confan.matroid import (
+    elements_of,
+    mask_of,
+    matroid_from_matrix,
+    rank_of,
+    subset_label,
+)
 
 from .conftest import random_config
 from .oracles import naive_det, spanning_tree_count
@@ -77,6 +84,26 @@ class TestConstruction:
         for mask, minor in c.minors.items():
             cols = [e - 1 for e in elements_of(mask)]
             assert minor == naive_det([[row[j] for j in cols] for row in c.a.rows])
+
+    def test_matroid_is_built_once_from_the_minors(self, rng):
+        for _ in range(20):
+            c = random_config(rng, max_n=6)
+            m = c.matroid
+            assert m == matroid_from_matrix(c.a, c.minors)
+            assert m.bases == matroid_from_matrix(c.a).bases
+            assert c.matroid is m
+
+    def test_first_basis_is_the_greedy_column_basis(self, rng):
+        # the pivot columns: each column that raises the rank of those before
+        for _ in range(30):
+            c = random_config(rng, max_n=7)
+            greedy = []
+            for j in range(c.n):
+                if matrix_rank(c.a.column_submatrix(greedy + [j])) > len(greedy):
+                    greedy.append(j)
+            assert first_basis(c) == tuple(greedy)
+        # the first two columns are parallel: the first basis skips the second
+        assert first_basis(config_new(Matrix(((1, 2, 0, 1), (0, 0, 1, 1))))) == (0, 2)
 
     def test_graph_square_with_chord(self, square_chord_config):
         edges = [("a", "c"), ("a", "b"), ("c", "d"), ("b", "c"), ("d", "a")]

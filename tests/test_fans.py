@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from confan.arith import Matrix, factor_rows, solve_exact
+from confan.arith import Matrix, solve_exact
 from confan.errors import (
     HasLoops,
     LoopOrColoop,
@@ -19,6 +19,7 @@ from confan.fans import (
     LatticeVector,
     _bary_table,
     _check_pure_simplicial,
+    _maximal_chains,
     bergman_fan,
     biflat_label,
     biflat_ray,
@@ -39,7 +40,9 @@ from confan.fans import (
     square_biflats,
     square_conormal_fan,
 )
+from confan.hermite import factor_rows
 from confan.matroid import (
+    dual,
     mask_of,
     matroid_from_bases,
     uniform_matroid,
@@ -79,6 +82,15 @@ BUILDERS = {
     "square-conormal": square_conormal_fan,
     "delta": delta_fan,
     "delta-tilde": delta_tilde_fan,
+}
+
+# the fans built from one _chains family, reduced by _maximal_chains
+CHAIN_BUILT = {
+    "bergman": bergman_fan,
+    "bergman-dual": lambda m: bergman_fan(dual(m)),
+    "square-conormal": square_conormal_fan,
+    "delta-tilde": delta_tilde_fan,
+    "fibre-1-2345": lambda m: fibre_fan(m, mask_of([1]), mask_of([2, 3, 4, 5])),
 }
 
 
@@ -301,6 +313,33 @@ class TestMaximalStorage:
         # nothing is reduced: a family with a face in it is the caller's error
         kept = Fan.from_maximal(5, rays, "abcd", [frozenset({0}), frozenset({0, 1})])
         assert kept.maximal == (frozenset({0}), frozenset({0, 1}))
+
+    @pytest.mark.parametrize("which", sorted(CHAIN_BUILT))
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_chain_fans_keep_the_reduction_of_their_chains(
+        self, name, which, monkeypatch
+    ):
+        families = []
+
+        def recording(chains):
+            chains = list(chains)
+            families.append(chains)
+            return _maximal_chains(chains)
+
+        monkeypatch.setattr("confan.fans._maximal_chains", recording)
+        n, bases = ORACLE_MATROIDS[name]
+        fan = CHAIN_BUILT[which](matroid_from_bases(n, bases))
+        (family,) = families
+        assert () in family and len(family) == len(set(family))
+        assert fan.maximal == Fan(fan.n, fan.rays, fan.labels, family).maximal
+
+    def test_maximal_chains_of_a_small_family(self):
+        # the chains of 2 < 1 < 0 and 3 < 0, with 2 < 0: decreasing tuples
+        family = [(), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3), (0, 1, 2)]
+        assert sorted(_maximal_chains(family), key=sorted) == [
+            frozenset({0, 1, 2}), frozenset({0, 3})
+        ]
+        assert _maximal_chains([()]) == [frozenset()]
 
     @pytest.mark.parametrize("which", ["delta", "delta-tilde"])
     @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))

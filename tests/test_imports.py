@@ -56,19 +56,22 @@ def fresh(code, *argv):
     return proc, set(proc.stderr.splitlines()[-1].split())
 
 
-def loaded_by(*argv):
+# cli.main on the process's arguments, required to succeed
+RUN_MAIN = (
+    "import sys\n"
+    "from confan.cli import main\n"
+    "try:\n"
+    "    code = main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n"
+    "    code = exc.code\n"
+    "assert code == 0, code\n"
+)
+
+
+def loaded_by(*argv, then=""):
     """The confan submodules a fresh process has loaded after cli.main(argv)
-    succeeded."""
-    code = (
-        "import sys\n"
-        "from confan.cli import main\n"
-        "try:\n"
-        "    code = main(sys.argv[1:])\n"
-        "except SystemExit as exc:\n"
-        "    code = exc.code\n"
-        "assert code == 0, code\n"
-    )
-    return fresh(code, *argv)[1]
+    succeeded; the code then runs after main, in the same process."""
+    return fresh(RUN_MAIN + then, *argv)[1]
 
 
 class TestNamespace:
@@ -102,6 +105,10 @@ class TestNamespace:
         _, loaded = fresh("from confan import config_new, matroid_from_bases")
         assert loaded == {"arith", "config", "errors", "matroid"}
 
+    def test_config_new_loads_no_matroid(self):
+        _, loaded = fresh("from confan import config_new")
+        assert loaded == {"arith", "config", "errors"}
+
 
 class TestCommandImports:
     def test_help_loads_no_layer(self):
@@ -129,3 +136,34 @@ class TestCommandImports:
         )
         assert "fans" in loaded
         assert not loaded & {"charp", "classes", "config"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fan", "--which", "square-conormal", "--verify-unimodular", "--verify-maps"],
+            ["fan", "--which", "delta", "--verify-refines"],
+            ["resolve-report", "--flat", "1", "--subset", "E"],
+        ],
+        ids=["fan-square-conormal", "fan-delta-refines", "resolve-report"],
+    )
+    @pytest.mark.parametrize("data", ["square_chord.graph", "u25.bases.json"])
+    def test_fan_commands_skip_arith_and_fractions(self, argv, data):
+        command, *options = argv
+        loaded = loaded_by(
+            command, str(DATA / data), *options,
+            then="assert 'fractions' not in sys.modules\n",
+        )
+        assert {"fans", "hermite"} <= loaded
+        assert "arith" not in loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["psi", "--check-det"], ["charp", "--p", "7"]],
+        ids=["psi", "charp"],
+    )
+    @pytest.mark.parametrize("data", ["square_chord.mat.json", "f7_3x7.mat.json"])
+    def test_matrix_certificates_skip_matroid(self, argv, data):
+        command, *options = argv
+        loaded = loaded_by(command, str(DATA / data), *options)
+        assert {"arith", "config"} <= loaded
+        assert "matroid" not in loaded
