@@ -54,7 +54,6 @@ _EXPORTS = {
         "Fan",
         "LatticeVector",
         "bergman_fan",
-        "count_maximal_cones",
         "delta_fan",
         "delta_tilde_fan",
         "divisor_incidence",

@@ -175,32 +175,33 @@ def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
 def fedder_witness(c: Configuration, p: int) -> Certificate:
     """Splitting witness mod p: the lead monomial of (q_1*...*q_r)^(p-1).
 
-    The witness prod x_i^(p-1) u_i^(p-1) is read off the verified lead terms
-    without expanding the power; the pass condition is that every exponent
-    stays below p, which p-1 does by construction and the certificate records.
+    The verdict is the lead-term certificate of c reduced mod p and nothing
+    else: it fails, with that certificate's reason, unless the leads mod p
+    are x_i*u_i.  When they are, the q_i form a complete intersection with
+    squarefree initial ideal, and the lead of (q_1*...*q_r)^(p-1) is the
+    witness prod x_i^(p-1) u_i^(p-1), read off the leads without expanding
+    the power.  Every exponent of the witness is below p, so the power lies
+    outside the Frobenius power m^[p] of the maximal ideal, and Fedder's
+    criterion (Fedder 1983) deduces F-purity.  The pass is that deduction,
+    not a further check.
     """
     if not _is_prime(p):
         raise ValueError("p must be prime, got %d" % p)
     reduced = _reduce_mod_p(c, p)
-    base = lead_term_certificate(reduced)
     variables = lambda_system(c).variables
     witness = [0] * (c.n + c.r)
     for i in range(c.r):
         witness[i] = p - 1
         witness[c.n + i] = p - 1
-    ok = all(e < p for e in witness)
-    return Certificate(
-        "FPurity",
-        "pass" if ok else "fail",
-        {
-            "order": ORDER_NAME,
-            "leads": base.data["leads"],
-            "witness": mono_str(tuple(witness), variables),
-            "p": p,
-            "witness_exponent": p - 1,
-        },
-        reason=None if ok else "witness exponent reaches p",
-    )
+    data = {"order": ORDER_NAME}
+    try:
+        data["leads"] = lead_term_certificate(reduced).data["leads"]
+    except OrderViolation as exc:
+        reason = str(exc)
+    else:
+        reason = None
+    data.update(witness=mono_str(tuple(witness), variables), p=p, witness_exponent=p - 1)
+    return Certificate("FPurity", "pass" if reason is None else "fail", data, reason=reason)
 
 
 def linkage_generators(c: Configuration):

@@ -18,8 +18,6 @@ from .errors import (
     HasLoops,
     LoopOrColoop,
     NotAFlat,
-    NotPure,
-    NotSimplicial,
     ParseError,
 )
 from .hermite import factor_rows
@@ -27,10 +25,8 @@ from .matroid import (
     Matroid,
     coloops_of,
     dual,
-    elements_of,
     flats,
     loops_of,
-    mask_of,
     parse_subset_label,
     subset_label,
 )
@@ -224,15 +220,10 @@ class Fan:
         """The integer factor (hermite.factor_rows) of the cone's generators,
         rows in Z^(2n-2) in the order of their ray indices."""
         rows = [self.rays[i].coords() for i in sorted(cone)]
-        return factor_rows(rows, 2 * self.n - 2)
+        return factor_rows(rows)
 
     def cone_dim(self, cone) -> int:
         return self.factor(cone).rank
-
-
-def count_maximal_cones(f: Fan) -> int:
-    """Number of inclusion-maximal cones; the trivial fan counts its origin."""
-    return len(f.maximal_cones())
 
 
 # ---------------------------------------------------------------------------
@@ -413,70 +404,94 @@ def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
     return True
 
 
-def _check_pure_simplicial(fan: Fan):
-    """The factor of each maximal cone, in the fan's order, and the fan's
-    dimension; every maximal cone must be simplicial, all of one dimension."""
-    factors = {c: fan.factor(c) for c in fan.maximal_cones()}
-    if any(f.rank < len(c) for c, f in factors.items()):
-        raise NotSimplicial("cone with dependent generators")
-    dims = {f.rank for f in factors.values()}
-    if len(dims) != 1:
-        raise NotPure("maximal cones of unequal dimension")
-    return factors, dims.pop()
+def _bergman_flags(m: Matroid):
+    """The maximal cones of bergman_fan(m), each as the set of its flats."""
+    fan = bergman_fan(m)
+    flat = [sum(x << i for i, x in enumerate(v.e)) for v in fan.rays]
+    return [frozenset(flat[i] for i in c) for c in fan.maximal]
 
 
-def _bary_table(fine: Fan, factors) -> dict:
-    """bary[c][i]: the barycentric coordinates of fine ray i in the cone c,
-    scaled by the positive integer D of c's factor (factors maps each coarse
-    maximal cone to it), present exactly when the ray lies in c; they are
-    unique because the generators of c are independent."""
-    points = [v.coords() for v in fine.rays]
-    bary = {}
-    for c, f in factors.items():
-        bary[c] = {}
-        for i, p in enumerate(points):
-            y = f.cone_coordinates(p)
-            if y is not None:
-                bary[c][i] = y
-    return bary
+def refines(m: Matroid, fine: Fan):
+    """None when fine, read through its ray_data as the fine fan of m (as
+    delta_tilde_fan builds it), refines delta_fan(m), which is never built;
+    otherwise a short witness of the first check that fails.
 
-
-def refines(fine: Fan, coarse: Fan) -> bool:
-    """Certified refinement of simplicial fans of equal pure dimension.
-
-    Checks: every fine ray lies in the coarse support; every maximal fine
-    cone sits inside a single maximal coarse cone; and inside each coarse
-    cone the fine cones match along facets (interior facets shared by
-    exactly two cones, boundary facets lying in coarse facets, at least one
-    fine cone per coarse cone).
+    The coarse generators of a flat F of m and of a flat G of its dual are
+    (e_F, e_F) and (0, -e_G).  Their sum is the ray (e_F, -e_(G minus F)) of
+    the biflat (F, G), so that ray lies in the cone of the flag pair (Fs, Gs)
+    exactly when F is empty or in Fs and G is E or in Gs: Bergman-cone
+    membership (Ardila-Klivans 2006).  The checks, in order:
+    - each ray is the primitive ray of its biflat (F, G), with F a flat of
+      m, G a flat of the dual and F within G;
+    - each maximal cone is a biflag chain of n - 2 rays whose nonempty Fs
+      and whose Gs other than E are maximal cones of the two Bergman fans:
+      its home.  In the home's generators each ray is 1 on its F and its G
+      and 0 elsewhere, so the chain is a monotone staircase and its rays
+      are independent;
+    - every flag pair is a home;
+    - in its home, a facet (a cone less one ray) bounds one cone when it
+      misses an F of Fs or a G of Gs, and two otherwise.  The two sides are
+      compared apart, since one mask can be a flat of both m and its dual.
     """
-    fine_max, d_fine = _check_pure_simplicial(fine)
-    coarse_max, d_coarse = _check_pure_simplicial(coarse)
-    if d_fine != d_coarse:
-        raise NotPure("fans have different dimensions")
+    n, full = m.n, m.ground
+    pairs = fine.ray_data
+    if pairs is None or len(pairs) != len(fine.rays):
+        return "the rays carry no biflats"
+    d = dual(m)
+    m_flats, d_flats = flats(m).rank, flats(d).rank
+    for i, (f, g) in enumerate(pairs):
+        ray = LatticeVector(_indicator(f, n), [-x for x in _indicator(g & ~f, n)])
+        bad = (
+            "is not (e_F, -e_(G minus F))" if fine.rays[i] != ray.primitive()
+            else "F is not a flat of M" if f not in m_flats
+            else "G is not a flat of M*" if g not in d_flats
+            else "F is not within G" if f & ~g
+            else None
+        )
+        if bad:
+            return "ray %d (%s): %s" % (i, biflat_label(pairs[i], n), bad)
 
-    bary = _bary_table(fine, coarse_max)
-    if set().union(*bary.values()) != set(range(len(fine.rays))):
-        return False
+    m_flags, d_flags = _bergman_flags(m), _bergman_flags(d)
+    m_set, d_set = set(m_flags), set(d_flags)
+    by_home = {}
+    for tau in dict.fromkeys(fine.maximal):  # a cone listed twice counts once
+        chain = sorted(tau, key=lambda i: pairs[i][0].bit_count() + pairs[i][1].bit_count())
+        fs = frozenset(pairs[i][0] for i in chain) - {0}
+        gs = frozenset(pairs[i][1] for i in chain) - {full}
+        if (
+            len(chain) != n - 2
+            or not all(pairs[a] != pairs[b] and _within(pairs[a], pairs[b])
+                       for a, b in zip(chain, chain[1:]))
+            or fs not in m_set
+            or gs not in d_set
+        ):
+            return "cone %s: no home" % _cone_label(fine, tau)
+        by_home.setdefault((fs, gs), []).append(tau)
 
-    assignment = {c: [] for c in coarse_max}
-    for tau in fine_max:
-        home = next((c for c in coarse_max if bary[c].keys() >= tau), None)
-        if home is None:
-            return False
-        assignment[home].append(tau)
+    if len(by_home) < len(m_flags) * len(d_flags):
+        home = next((a, b) for a in m_flags for b in d_flags if (a, b) not in by_home)
+        return "flag pair %s: no fine cone" % _home_label(home, n)
+    for (fs, gs), taus in by_home.items():
+        for rho, count in Counter(tau - {i} for tau in taus for i in tau).items():
+            inside = fs <= {pairs[i][0] for i in rho} and gs <= {pairs[i][1] for i in rho}
+            expected = 2 if inside else 1
+            if count != expected:
+                return "facet %s in home %s: count %d, not %d" % (
+                    _cone_label(fine, rho), _home_label((fs, gs), n), count, expected
+                )
+    return None
 
-    for sigma, taus in assignment.items():
-        if not taus:
-            return False
-        facet_count = Counter(tau - {drop} for tau in taus for drop in tau)
-        for rho, cnt in facet_count.items():
-            on_boundary = any(
-                all(not bary[sigma][i][j] for i in rho) for j in range(len(sigma))
-            )
-            if cnt != (1 if on_boundary else 2):
-                return False
-    return True
+
+def _cone_label(fan: Fan, cone) -> str:
+    return "{%s}" % ", ".join(fan.labels[i] for i in sorted(cone))
+
+
+def _home_label(home, n: int) -> str:
+    """A flag pair as its two flags, each ascending."""
+    return " | ".join(
+        "⊂".join(subset_label(f, n) for f in sorted(flag, key=int.bit_count)) or "∅"
+        for flag in home
+    )
 
 
 def divisor_incidence(biflats, n: int) -> bool:

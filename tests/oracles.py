@@ -5,8 +5,11 @@ force enumeration, not against the library's own polynomial or matrix
 code, so that a bug in the package cannot silently confirm itself.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+
+from confan.errors import NotPure, NotSimplicial
 
 
 def whitney_char_poly(n, rank_fn):
@@ -305,3 +308,143 @@ def minors_rank_and_index(rows, ncols):
     for cs in combinations(range(ncols), k):
         index = gcd(index, minor(range(k), cs))
     return rank, index
+
+
+# ---------------------------------------------------------------------------
+# refinement of simplicial fans by linear algebra
+# ---------------------------------------------------------------------------
+#
+# The generic certificate for any pair of simplicial fans: it reads their
+# geometry alone (rays and maximal cones, never ray_data), by integer left
+# inverses and barycentric coordinates.  It is the reference for
+# confan.fans.refines, which certifies the fine fan over the coarse one from
+# the biflats instead.  Its simplicial check reads the library's integer
+# factor of each cone (Fan.factor).
+
+
+def left_inverse(rows, ncols):
+    """(R, D, adj) of k independent integer rows g_1..g_k of length ncols,
+    G the ncols x k matrix with columns g_1..g_k; ValueError when the rows
+    are dependent.
+
+    R   - k coordinates with G_R (those rows of G) invertible, chosen
+          greedily from the left
+    D   - |det G_R|
+    adj - the adjugate of G_R, negated when det G_R < 0, as a tuple of
+          rows, so adj . G_R = D . I
+
+    Fraction-free Gauss-Jordan elimination of [G^T | I]: its last pivot
+    is ±det G_R and its right block is ±adj(G_R)^T.
+    """
+    k = len(rows)
+    work = [list(r) + [int(i == j) for j in range(k)] for i, r in enumerate(rows)]
+    coords = []
+    prev = 1
+    for j in range(ncols):
+        r = len(coords)
+        if r == k:
+            break
+        piv = next((i for i in range(r, k) if work[i][j]), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        top = work[r]
+        t = top[j]
+        for i in range(k):
+            if i != r:
+                s = work[i][j]
+                work[i] = [(t * a - s * b) // prev for a, b in zip(work[i], top)]
+        prev = t
+        coords.append(j)
+    if len(coords) < k:
+        raise ValueError("rows are dependent: no left inverse")
+    # the right block E has E . G_R^T = prev . I, so adj = ±E^T
+    sign = 1 if prev > 0 else -1
+    adj = tuple(tuple(sign * work[s][ncols + i] for s in range(k)) for i in range(k))
+    return tuple(coords), abs(prev), adj
+
+
+def cone_coordinates(rows, inverse, p):
+    """y = adj . p_R when p lies in the cone the independent rows span, else
+    None; inverse is left_inverse(rows, len(p)).
+
+    p lies in the cone iff y >= 0 and G y = D p; y is then D times the
+    unique coordinates of p in the rows.
+    """
+    coords, d, adj = inverse
+    pr = [p[j] for j in coords]
+    y = [sum(a * b for a, b in zip(row, pr)) for row in adj]
+    if any(x < 0 for x in y):
+        return None
+    for j in range(len(p)):
+        if sum(a * row[j] for a, row in zip(y, rows)) != d * p[j]:
+            return None
+    return y
+
+
+def _check_pure_simplicial(fan):
+    """The factor of each maximal cone, in the fan's order, and the fan's
+    dimension; every maximal cone must be simplicial, all of one dimension."""
+    factors = {c: fan.factor(c) for c in fan.maximal_cones()}
+    if any(f.rank < len(c) for c, f in factors.items()):
+        raise NotSimplicial("cone with dependent generators")
+    dims = {f.rank for f in factors.values()}
+    if len(dims) != 1:
+        raise NotPure("maximal cones of unequal dimension")
+    return factors, dims.pop()
+
+
+def _bary_table(fine, coarse, cones):
+    """bary[c][i]: the barycentric coordinates of fine ray i in the coarse
+    cone c (each of cones, all simplicial), scaled by D of c's left
+    inverse, present exactly when the ray lies in c; they are unique
+    because the generators of c are independent."""
+    points = [v.coords() for v in fine.rays]
+    bary = {}
+    for c in cones:
+        rows = [coarse.rays[j].coords() for j in sorted(c)]
+        inverse = left_inverse(rows, 2 * coarse.n - 2)
+        bary[c] = {}
+        for i, p in enumerate(points):
+            y = cone_coordinates(rows, inverse, p)
+            if y is not None:
+                bary[c][i] = y
+    return bary
+
+
+def refines(fine, coarse):
+    """Certified refinement of simplicial fans of equal pure dimension.
+
+    Checks: every fine ray lies in the coarse support; every maximal fine
+    cone sits inside a single maximal coarse cone; and inside each coarse
+    cone the fine cones match along facets (interior facets shared by
+    exactly two cones, boundary facets lying in coarse facets, at least one
+    fine cone per coarse cone).
+    """
+    fine_max, d_fine = _check_pure_simplicial(fine)
+    coarse_max, d_coarse = _check_pure_simplicial(coarse)
+    if d_fine != d_coarse:
+        raise NotPure("fans have different dimensions")
+
+    bary = _bary_table(fine, coarse, coarse_max)
+    if set().union(*bary.values()) != set(range(len(fine.rays))):
+        return False
+
+    assignment = {c: [] for c in coarse_max}
+    for tau in fine_max:
+        home = next((c for c in coarse_max if bary[c].keys() >= tau), None)
+        if home is None:
+            return False
+        assignment[home].append(tau)
+
+    for sigma, taus in assignment.items():
+        if not taus:
+            return False
+        facet_count = Counter(tau - {drop} for tau in taus for drop in tau)
+        for rho, cnt in facet_count.items():
+            on_boundary = any(
+                all(not bary[sigma][i][j] for i in rho) for j in range(len(sigma))
+            )
+            if cnt != (1 if on_boundary else 2):
+                return False
+    return True

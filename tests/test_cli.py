@@ -177,6 +177,28 @@ class TestFan:
         assert data["verify"]["unimodular"] == "fail"
         assert data["failures"] == ["unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]"]
 
+    def test_refines_failure_prints_its_witness(self, capsys, data_dir, monkeypatch):
+        # the fine fan less its first maximal cone: a facet inside that
+        # cone's flag pair now bounds one cone instead of two
+        def dropped(m):
+            fine = delta_tilde_fan(m)
+            return Fan.from_maximal(
+                fine.n, fine.rays, fine.labels, fine.maximal[1:], ray_data=fine.ray_data
+            )
+
+        monkeypatch.setattr(confan.fans, "delta_tilde_fan", dropped)
+        witness = "facet {124⊆E, 1⊆1} in home 1⊂124 | 1: count 1, not 2"
+        argv = ["fan", str(data_dir / "square_chord.graph"), "--which", "bergman",
+                "--verify-refines"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert out.splitlines()[-1] == "refines: FAIL: " + witness
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["verify"] == {"refines": "fail", "refines_witness": witness}
+        assert data["failures"] == ["refines: FAIL: " + witness]
+
     def test_dimension_of_non_pure_fan(self, capsys, data_dir, monkeypatch):
         # the largest cone has four coplanar rays (rank 2); the dimension
         # comes from the smaller cone of three independent rays

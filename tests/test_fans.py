@@ -17,13 +17,10 @@ from confan.errors import (
 from confan.fans import (
     Fan,
     LatticeVector,
-    _bary_table,
-    _check_pure_simplicial,
     _maximal_chains,
     bergman_fan,
     biflat_label,
     biflat_ray,
-    count_maximal_cones,
     delta_fan,
     delta_tilde_fan,
     divisor_incidence,
@@ -45,6 +42,7 @@ from confan.matroid import (
     dual,
     mask_of,
     matroid_from_bases,
+    parse_subset_label,
     uniform_matroid,
 )
 
@@ -178,18 +176,18 @@ class TestBergman:
     def test_u13_is_trivial(self):
         fan = bergman_fan(uniform_matroid(1, 3))
         assert len(fan.rays) == 0
-        assert count_maximal_cones(fan) == 1  # just the origin
+        assert len(fan.maximal) == 1  # just the origin
 
     def test_u23_three_rays(self):
         fan = bergman_fan(uniform_matroid(2, 3))
         assert len(fan.rays) == 3
-        assert count_maximal_cones(fan) == 3
+        assert len(fan.maximal) == 3
         assert all(fan.cone_dim(c) <= 1 for c in fan.cones)
 
     def test_square_chord_counts(self, square_chord_bases):
         fan = bergman_fan(square_chord(square_chord_bases))
         assert len(fan.rays) == 11  # nonempty proper flats
-        assert count_maximal_cones(fan) == 14
+        assert len(fan.maximal) == 14
         assert {fan.cone_dim(c) for c in fan.maximal_cones()} == {2}
 
     def test_rejects_loops(self):
@@ -228,7 +226,7 @@ class TestSquareConormal:
     def test_square_chord_counts(self, square_chord_bases):
         fan = square_conormal_fan(square_chord(square_chord_bases))
         assert len(fan.rays) == 19
-        assert count_maximal_cones(fan) == 56
+        assert len(fan.maximal) == 56
         assert len(fan.cones) == 142
         assert {fan.cone_dim(c) for c in fan.maximal_cones()} == {3}
 
@@ -356,13 +354,13 @@ class TestDeltaFans:
     def test_square_chord_delta_tilde(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
         assert len(fan.rays) == 19
-        assert count_maximal_cones(fan) == 56
+        assert len(fan.maximal) == 56
         assert {fan.cone_dim(c) for c in fan.maximal_cones()} == {3}
 
     def test_square_chord_delta(self, square_chord_bases):
         fan = delta_fan(square_chord(square_chord_bases))
         assert len(fan.rays) == 14
-        assert count_maximal_cones(fan) == 42
+        assert len(fan.maximal) == 42
         assert {fan.cone_dim(c) for c in fan.maximal_cones()} == {3}
 
     def test_delta_tilde_ray_rule(self, square_chord_bases):
@@ -378,7 +376,7 @@ class TestDeltaFans:
         m = uniform_matroid(2, 3)
         dt, dd = delta_tilde_fan(m), delta_fan(m)
         assert set(dt.rays) == set(dd.rays)
-        assert refines(dt, dd) and refines(dd, dt)
+        assert oracles.refines(dt, dd) and oracles.refines(dd, dt)
 
 
 class TestUnimodular:
@@ -457,18 +455,37 @@ class TestCoordinateMaps:
         assert maps_into_coordinate_fan(fan, frozenset(), "first", "plus")
 
 
+def mutant(fan, maximal=None, rays=None, ray_data=None):
+    """The fan with its maximal cones, rays or biflats replaced, as given."""
+    return Fan.from_maximal(
+        fan.n,
+        fan.rays if rays is None else rays,
+        fan.labels,
+        fan.maximal if maximal is None else maximal,
+        ray_data=fan.ray_data if ray_data is None else ray_data,
+    )
+
+
+REFINE_CASES = {**ORACLE_MATROIDS, "U(2,4)": (4, list(combinations(range(1, 5), 2)))}
+
+
 class TestRefines:
+    """refines(m, fine) certifies the fine fan over the coarse one from the
+    biflats; oracles.refines, the generic route by linear algebra on the two
+    fans' rays and cones, is its reference."""
+
     def test_square_chord_refinement(self, square_chord_bases):
         m = square_chord(square_chord_bases)
-        assert refines(delta_tilde_fan(m), delta_fan(m))
+        assert refines(m, delta_tilde_fan(m)) is None
+        assert oracles.refines(delta_tilde_fan(m), delta_fan(m))
 
     def test_coarse_does_not_refine_fine(self, square_chord_bases):
         m = square_chord(square_chord_bases)
-        assert not refines(delta_fan(m), delta_tilde_fan(m))
+        assert not oracles.refines(delta_fan(m), delta_tilde_fan(m))
 
     def test_self_refinement(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
-        assert refines(fan, fan)
+        assert oracles.refines(fan, fan)
 
     @pytest.mark.parametrize("r,n", [(2, 4), (2, 5)])
     def test_uniform_refinement(self, r, n, monkeypatch):
@@ -476,20 +493,21 @@ class TestRefines:
         fine, coarse = delta_tilde_fan(m), delta_fan(m)
         calls = []
 
-        def counting(rows, ncols):
+        def counting(rows):
             calls.append(tuple(rows))
-            return factor_rows(rows, ncols)
+            return factor_rows(rows)
 
         def rows_of(fan):
             return [tuple(fan.rays[j].coords() for j in sorted(c)) for c in fan.maximal]
 
         monkeypatch.setattr("confan.fans.factor_rows", counting)
-        assert refines(fine, coarse)
-        # one factorisation per coarse maximal cone (100 on U(2,5)), serving
-        # both its simplicial check and its whole row of the bary table, and
-        # one per fine maximal cone for its simplicial check; none per pair
+        assert refines(m, fine) is None
+        assert not calls  # the biflat route factors nothing
+        assert oracles.refines(fine, coarse)
+        # the oracle: one factorisation per maximal cone of either fan, for
+        # its simplicial check; none per pair
         assert Counter(calls) == Counter(rows_of(fine) + rows_of(coarse))
-        assert len(calls) == len(fine.maximal_cones()) + len(coarse.maximal_cones())
+        assert len(calls) == len(fine.maximal) + len(coarse.maximal)
 
     @pytest.mark.parametrize(
         "build",
@@ -502,21 +520,77 @@ class TestRefines:
     def test_bary_table_matches_solve_exact_route(self, build):
         m = build()
         fine, coarse = delta_tilde_fan(m), delta_fan(m)
-        factors, _ = _check_pure_simplicial(coarse)
-        table = _bary_table(fine, factors)
-        assert list(table) == list(coarse.maximal_cones())
-        for c, f in factors.items():
-            gens = Matrix(
-                [coarse.rays[j].coords() for j in sorted(c)], ncols=2 * m.n - 2
-            ).transpose()
+        factors, _ = oracles._check_pure_simplicial(coarse)
+        table = oracles._bary_table(fine, coarse, factors)
+        assert list(table) == list(coarse.maximal)
+        for c in factors:
+            rows = [coarse.rays[j].coords() for j in sorted(c)]
+            gens = Matrix(rows, ncols=2 * m.n - 2).transpose()
             old = {}
             for i, v in enumerate(fine.rays):
                 sol = solve_exact(gens, v.coords())
                 if sol is not None and all(x >= 0 for x in sol):
                     old[i] = sol
-            d = f.left_inverse()[1]
+            d = oracles.left_inverse(rows, 2 * m.n - 2)[1]
             assert table[c].keys() == old.keys()
             assert all(table[c][i] == [d * x for x in old[i]] for i in old)
+
+    @pytest.mark.parametrize("name", sorted(REFINE_CASES))
+    def test_routes_agree(self, name):
+        m = matroid_from_bases(*REFINE_CASES[name])
+        fine = delta_tilde_fan(m)
+        assert refines(m, fine) is None
+        assert oracles.refines(fine, delta_fan(m))
+
+    @pytest.mark.parametrize("name", sorted(REFINE_CASES))
+    def test_both_routes_fail_on_a_dropped_or_replaced_cone(self, name):
+        m = matroid_from_bases(*REFINE_CASES[name])
+        fine, coarse = delta_tilde_fan(m), delta_fan(m)
+        tau = fine.maximal[0]
+        # the first cone with its least ray swapped for the first ray outside it
+        other = min(set(range(len(fine.rays))) - tau)
+        replaced = ((tau - {min(tau)}) | {other},) + fine.maximal[1:]
+        for bad in (mutant(fine, fine.maximal[1:]), mutant(fine, replaced)):
+            assert refines(m, bad) is not None
+            assert not oracles.refines(bad, coarse)
+
+    def test_both_routes_fail_on_every_dropped_cone(self, square_chord_bases):
+        m = square_chord(square_chord_bases)
+        fine, coarse = delta_tilde_fan(m), delta_fan(m)
+        for k in range(len(fine.maximal)):
+            bad = mutant(fine, fine.maximal[:k] + fine.maximal[k + 1:])
+            assert refines(m, bad) is not None
+            assert not oracles.refines(bad, coarse)
+
+    def test_both_routes_read_a_duplicated_cone_once(self, square_chord_bases):
+        m = square_chord(square_chord_bases)
+        fine = delta_tilde_fan(m)
+        twice = mutant(fine, fine.maximal + fine.maximal[:1])
+        assert refines(m, twice) is None
+        assert oracles.refines(twice, delta_fan(m))
+
+    def test_both_routes_reject_a_cone_of_too_few_rays(self):
+        # the two cones of the flag pair ({1}, {1}) of U(2,4) replaced by
+        # their common ray 1⊆1: its flags are complete and its one facet,
+        # the origin, bounds one cone, but it spans a line in a plane
+        m = uniform_matroid(2, 4)
+        fine = delta_tilde_fan(m)
+        ray = fine.labels.index("1⊆1")
+        pair = {fine.labels.index("1⊆E"), fine.labels.index("∅⊆1")}
+        kept = tuple(c for c in fine.maximal if not (c - {ray} < pair))
+        assert len(kept) == len(fine.maximal) - 2
+        bad = mutant(fine, kept + (frozenset({ray}),))
+        assert refines(m, bad) == "cone {1⊆1}: no home"
+        with pytest.raises(NotPure):
+            oracles.refines(bad, delta_fan(m))
+
+    def test_only_the_biflat_route_reads_ray_data(self, square_chord_bases):
+        m = square_chord(square_chord_bases)
+        fine = delta_tilde_fan(m)
+        swapped = (fine.ray_data[1], fine.ray_data[0]) + fine.ray_data[2:]
+        bad = mutant(fine, ray_data=swapped)
+        assert refines(m, bad) is not None
+        assert oracles.refines(bad, delta_fan(m))  # same rays and cones
 
     # Fans in the plane: with n = 2, LatticeVector((x, 0), (y, 0)) has
     # coordinates (x, y) in Z^2.  Each False case fails exactly one check.
@@ -529,50 +603,109 @@ class TestRefines:
 
     def test_plane_subdivision_refines(self):
         fine = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2)])
-        assert refines(fine, self.plane(*self.QUADRANT))
+        assert oracles.refines(fine, self.plane(*self.QUADRANT))
 
     def test_plane_ray_outside_support(self):
         # the ray (-1, -1) lies in no cone of either fan
         fine = self.plane([(1, 0), (0, 1), (-1, -1)], [(0, 1)])
-        assert not refines(fine, self.plane(*self.QUADRANT))
+        assert not oracles.refines(fine, self.plane(*self.QUADRANT))
 
     def test_plane_cone_straddles_two_coarse_cones(self):
         # the fine fan holds the coarse cones themselves, so only the
         # quadrant cone across the ray (1, 1) can fail
         points = [(1, 0), (1, 1), (0, 1)]
         fine = self.plane(points, [(0, 1), (1, 2), (0, 2)])
-        assert not refines(fine, self.plane(points, [(0, 1), (1, 2)]))
+        assert not oracles.refines(fine, self.plane(points, [(0, 1), (1, 2)]))
 
     def test_plane_coarse_cone_without_fine_cone(self):
         fine = self.plane(*self.QUADRANT)
         coarse = self.plane([(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
-        assert not refines(fine, coarse)
+        assert not oracles.refines(fine, coarse)
 
     def test_plane_hole_counts_interior_facet_once(self):
         # the sector between (2, 1) and (1, 2) is missing
         fine = self.plane([(1, 0), (2, 1), (1, 2), (0, 1)], [(0, 1), (2, 3)])
-        assert not refines(fine, self.plane(*self.QUADRANT))
+        assert not oracles.refines(fine, self.plane(*self.QUADRANT))
 
     def test_plane_overlap_counts_boundary_facet_twice(self):
         # the quadrant and its subdivision at once: interior ray (1, 1) is
         # shared by two cones, but each axis ray bounds two cones as well
         fine = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1), (1, 2), (0, 2)])
-        assert not refines(fine, self.plane(*self.QUADRANT))
+        assert not oracles.refines(fine, self.plane(*self.QUADRANT))
 
     def test_plane_fans_must_be_pure_and_simplicial(self):
         quadrant = self.plane(*self.QUADRANT)
         # three rays in the plane span one cone of dimension 2, not 3
         flat = self.plane([(1, 0), (1, 1), (0, 1)], [(0, 1, 2)])
         with pytest.raises(NotSimplicial):
-            refines(flat, quadrant)
+            oracles.refines(flat, quadrant)
         with pytest.raises(NotSimplicial):
-            refines(quadrant, flat)
+            oracles.refines(quadrant, flat)
         mixed = self.plane([(1, 0), (0, 1), (-1, -1)], [(0, 1), (2,)])
         with pytest.raises(NotPure):
-            refines(mixed, quadrant)
+            oracles.refines(mixed, quadrant)
         ray = self.plane([(1, 0)], [(0,)])
         with pytest.raises(NotPure):
-            refines(ray, quadrant)
+            oracles.refines(ray, quadrant)
+
+
+class TestRefinesWitness:
+    """Each check of refines(m, fine) on a mutant of the square chord's
+    fine fan, with the witness it returns."""
+
+    @pytest.fixture
+    def case(self, square_chord_bases):
+        m = square_chord(square_chord_bases)
+        return m, delta_tilde_fan(m)
+
+    @pytest.mark.parametrize(
+        "f,g,problem",
+        [
+            ("12", "E", "F is not a flat of M"),  # the closure of 12 is 124
+            ("∅", "2", "G is not a flat of M*"),  # 2 is parallel to 4 in M*
+            ("1", "24", "F is not within G"),
+        ],
+    )
+    def test_ray_with_a_bad_biflat(self, case, f, g, problem):
+        m, fine = case
+        pair = (parse_subset_label(f, 5), parse_subset_label(g, 5))
+        # ray 0 moved to the vector its new biflat gives, so only the biflat is bad
+        ray = (lattice_e(pair[0], 5) + -lattice_f(pair[1] & ~pair[0], 5)).primitive()
+        bad = mutant(fine, rays=(ray,) + fine.rays[1:], ray_data=(pair,) + fine.ray_data[1:])
+        assert refines(m, bad) == "ray 0 (%s⊆%s): %s" % (f, g, problem)
+
+    def test_ray_that_disagrees_with_its_biflat(self, case):
+        m, fine = case
+        swapped = (fine.ray_data[1], fine.ray_data[0]) + fine.ray_data[2:]
+        assert refines(m, mutant(fine, ray_data=swapped)) == (
+            "ray 0 (%s): is not (e_F, -e_(G minus F))" % biflat_label(fine.ray_data[1], 5)
+        )
+        plain = Fan.from_maximal(5, fine.rays, fine.labels, fine.maximal)
+        assert refines(m, plain) == "the rays carry no biflats"
+
+    def test_cone_with_no_home(self, case):
+        m, fine = case
+        tau = fine.maximal[0]
+        # its least ray, 124⊆E, swapped for the last, ∅⊆1: a biflag chain
+        # still, but its nonempty Fs, {1}, are no complete flag of M
+        cone = (tau - {min(tau)}) | {len(fine.rays) - 1}
+        bad = mutant(fine, (cone,) + fine.maximal[1:])
+        labels = ", ".join(fine.labels[i] for i in sorted(cone))
+        assert refines(m, bad) == "cone {%s}: no home" % labels
+
+    def test_flag_pair_with_no_fine_cone(self, case):
+        m, fine = case
+        # the second cone is the only one of its flag pair: 1 ⊂ 124 in M,
+        # 24 in M*
+        bad = mutant(fine, fine.maximal[:1] + fine.maximal[2:])
+        assert refines(m, bad) == "flag pair 1⊂124 | 24: no fine cone"
+
+    def test_facet_counted_once_inside_its_home(self, case):
+        m, fine = case
+        # the first cone shares its flag pair with one other cone, across
+        # the facet {124⊆E, 1⊆1}
+        bad = mutant(fine, fine.maximal[1:])
+        assert refines(m, bad) == "facet {124⊆E, 1⊆1} in home 1⊂124 | 1: count 1, not 2"
 
 
 class TestDivisorIncidence:
@@ -614,7 +747,7 @@ class TestFibreFan:
         m = square_chord(square_chord_bases)
         fan = fibre_fan(m, mask_of([1]), mask_of([2, 3, 4, 5]))
         assert sorted(fan.labels) == sorted(["1⊆1", "1⊆E", "∅⊆24", "∅⊆35"])
-        assert count_maximal_cones(fan) == 3
+        assert len(fan.maximal) == 3
         assert {fan.cone_dim(c) for c in fan.maximal_cones()} == {2}
 
     def test_over_rank_two_flat(self, square_chord_bases):
@@ -627,7 +760,7 @@ class TestFibreFan:
     def test_empty_flat_empty_subset(self, square_chord_bases):
         fan = fibre_fan(square_chord(square_chord_bases), 0, 0)
         assert len(fan.rays) == 0
-        assert count_maximal_cones(fan) == 1
+        assert len(fan.maximal) == 1
 
     def test_rejects_non_flat(self, square_chord_bases):
         with pytest.raises(NotAFlat):

@@ -25,7 +25,7 @@ PUBLIC = {
     "duality_map hadamard_square iota_differential_check jacobian_rank lambda_system "
     "nonround_flats on_lambda psi_basis_expansion psi_det q_w_matrix "
     "sample_stratum_point sample_torus_point singular_witness x_rank_class",
-    "fans": "Fan LatticeVector bergman_fan count_maximal_cones delta_fan delta_tilde_fan "
+    "fans": "Fan LatticeVector bergman_fan delta_fan delta_tilde_fan "
     "divisor_incidence fan_from_json fan_to_json fibre_fan is_unimodular "
     "maps_into_coordinate_fan mu_apply refines square_biflats square_conormal_fan",
     "matroid": "Matroid char_poly closure contract delete dual flats is_connected is_round "
@@ -77,7 +77,7 @@ def loaded_by(*argv, then=""):
 class TestNamespace:
     def test_all_lists_the_public_names(self):
         assert sorted(confan.__all__) == sorted(HOME)
-        assert len(confan.__all__) == len(set(confan.__all__)) == 71
+        assert len(confan.__all__) == len(set(confan.__all__)) == 70
 
     @pytest.mark.parametrize("name", sorted(HOME))
     def test_name_is_its_home_modules_object(self, name):
