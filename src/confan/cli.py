@@ -42,19 +42,14 @@ def cmd_matroid_info(args, cap):
         flats,
         is_connected,
         loops_of,
-        rank_of,
         reduced_char_poly,
+        roundness_witnesses,
         subset_label,
     )
 
     m = load_matroid(args.input, args.format, cap)
     lattice = flats(m)
-    full = m.ground
-    nonround = [
-        subset_label(f, m.n)
-        for f in lattice.proper()
-        if rank_of(m, full & ~f) < m.r
-    ]
+    nonround = [subset_label(f, m.n) for f in roundness_witnesses(m)]
     lines = [
         "elements: %d" % m.n,
         "rank: %d" % m.r,
@@ -167,8 +162,13 @@ def cmd_fan(args, cap):
         else:
             lines.append("-π2: pass")
     if args.verify_refines:
-        # Δ̃ → Δ whatever --which is, certified from Δ̃'s biflats
-        fine = fan if args.which == "delta-tilde" else fans.delta_tilde_fan(m)
+        # Δ̃ → Δ whatever --which is, certified from Δ̃'s biflats; Δ̃ is the
+        # square conormal fan's negative shear
+        fine = (
+            fan if args.which == "delta-tilde"
+            else fans.minus_shear(fan) if args.which == "square-conormal"
+            else fans.delta_tilde_fan(m)
+        )
         witness = fans.refines(m, fine)
         verify["refines"] = "pass" if witness is None else "fail"
         if witness is None:

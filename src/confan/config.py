@@ -10,7 +10,6 @@ beta a length-n covector.
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -192,7 +191,8 @@ def psi_basis_expansion(c: Configuration) -> MultiPoly:
 def psi_det(c: Configuration) -> MultiPoly:
     """Symbolic determinant of A diag(x) A^T; cross-checked against the basis
     expansion.  The determinant route reads only q_w_matrix, never the minor
-    table, so the two routes are independent."""
+    table, so the two routes read independent data; both run the one Laplace
+    kernel of arith, which the tests check against a permutation expansion."""
     p = det(q_w_matrix(c))
     if p != psi_basis_expansion(c):
         raise Mismatch("determinant route disagrees with the basis expansion")
@@ -275,19 +275,23 @@ def on_lambda(c: Configuration, p: Point) -> bool:
     return all(not entry for entry in _incidence_residual(c, p))
 
 
+def _gram(c: Configuration, beta) -> list:
+    """The rows of the r x r matrix A diag(beta) A^T."""
+    return [
+        [sum(c.a[i, k] * beta[k] * c.a[j, k] for k in range(c.n)) for j in range(c.r)]
+        for i in range(c.r)
+    ]
+
+
 def jacobian_rank(c: Configuration, p: Point) -> int:
     """Exact rank of the r x (r+n) matrix (A diag(beta) A^T | A diag(A^T w))."""
     if p.beta is None:
         raise ValueError("point carries no beta")
     v = ambient_vector(c, p)
-    rows = []
-    for i in range(c.r):
-        left = [
-            sum(c.a[i, k] * p.beta[k] * c.a[j, k] for k in range(c.n))
-            for j in range(c.r)
-        ]
-        right = [c.a[i, k] * v[k] for k in range(c.n)]
-        rows.append(left + right)
+    rows = [
+        left + [c.a[i, k] * v[k] for k in range(c.n)]
+        for i, left in enumerate(_gram(c, p.beta))
+    ]
     return matrix_rank(Matrix(rows, ncols=c.r + c.n))
 
 
@@ -295,11 +299,7 @@ def x_rank_class(c: Configuration, beta) -> XRankClass:
     """Classify beta by the rank of A diag(beta) A^T."""
     if all(not b for b in beta):
         raise ZeroVector("beta must be nonzero")
-    rows = [
-        [sum(c.a[i, k] * beta[k] * c.a[j, k] for k in range(c.n)) for j in range(c.r)]
-        for i in range(c.r)
-    ]
-    rk = matrix_rank(Matrix(rows, ncols=c.r))
+    rk = matrix_rank(Matrix(_gram(c, beta), ncols=c.r))
     if rk == c.r:
         return XRankClass.OFF_X
     if rk == c.r - 1:
@@ -309,13 +309,11 @@ def x_rank_class(c: Configuration, beta) -> XRankClass:
 
 def nonround_flats(c: Configuration):
     """Proper flats F with rank(E minus F) below the rank; empty exactly when round."""
-    from .matroid import flats, is_connected, rank_of
+    from .matroid import is_connected, roundness_witnesses
 
     if not is_connected(c.matroid):
         raise NotConnected("stratum analysis needs a connected matroid")
-    m = c.matroid
-    full = m.ground
-    return [f for f in flats(m).proper() if rank_of(m, full & ~f) < m.r]
+    return roundness_witnesses(c.matroid)
 
 
 def hadamard_square(c: Configuration, w):
@@ -338,11 +336,7 @@ def dual_config(c: Configuration) -> Configuration:
     complement = [j for j in range(c.n) if j not in first]
     d_primal = c.minors[sum(1 << j for j in first)]
     d_dual = det(c0.column_submatrix(complement))
-    scale = (
-        d_primal / d_dual
-        if isinstance(d_primal, Fp) or isinstance(d_dual, Fp)
-        else Fraction(d_primal) / Fraction(d_dual)
-    )
+    scale = _promote_div(d_primal, d_dual)
     rows = [list(row) for row in c0.rows]
     rows[0] = [x * scale for x in rows[0]]
     return config_new(Matrix(rows, ncols=c.n))

@@ -519,9 +519,16 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
     kept = [
         (f, g) for f, g in square_biflats(m) if f & ~flat == 0 and g & ~f & ~subset == 0
     ]
-    base = _biflag_fan(m, kept)
-    rays = [mu_apply(v, "minus").primitive() for v in base.rays]
-    return Fan.from_maximal(base.n, rays, base.labels, base.maximal, ray_data=base.ray_data)
+    return minus_shear(_biflag_fan(m, kept))
+
+
+def minus_shear(fan: Fan) -> Fan:
+    """The fan's image under the negative shear (mu_apply "minus"): the same
+    labels, maximal cones and ray_data, each ray sheared."""
+    rays = [mu_apply(v, "minus").primitive() for v in fan.rays]
+    sheared = Fan.from_maximal(fan.n, rays, fan.labels, (), ray_data=fan.ray_data)
+    sheared.maximal = fan.maximal  # sorted already: shared, not copied
+    return sheared
 
 
 # ---------------------------------------------------------------------------

@@ -525,14 +525,18 @@ def is_connected(m: Matroid) -> bool:
     return True
 
 
-def is_round(m: Matroid) -> bool:
-    """rank(E minus F) = rank(E) for every proper flat F, the empty closure included."""
+def roundness_witnesses(m: Matroid) -> list:
+    """The proper flats F, the empty closure included, with rank(E minus F)
+    below rank(E), in the order of flats(m).proper(); m is round exactly
+    when there are none."""
     rank = m.rank_table()
     full = m.ground
-    for f in flats(m).proper():
-        if rank[full & ~f] < m.r:
-            return False
-    return True
+    return [f for f in flats(m).proper() if rank[full & ~f] < m.r]
+
+
+def is_round(m: Matroid) -> bool:
+    """rank(E minus F) = rank(E) for every proper flat F, the empty closure included."""
+    return not roundness_witnesses(m)
 
 
 def char_poly(m: Matroid) -> ClassPoly:

@@ -2,7 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confan.arith import (
@@ -114,15 +114,34 @@ class TestMultiPoly:
         assert (x ** 4 + x).max_exponent() == 4
 
 
-mat_entries = st.integers(-6, 6)
+FIELDS = ("Z", "Q", "F2", "F7")
 
 
-def square_matrices(size):
-    return st.lists(
-        st.lists(mat_entries, min_size=size, max_size=size),
-        min_size=size,
-        max_size=size,
-    )
+def scalars(field):
+    """Small scalars of one field; over Q with denominators up to 8."""
+    if field == "Z":
+        return st.integers(-4, 4)
+    if field == "Q":
+        denominators = st.sampled_from((1, 2, 3, 4, 8))
+        return st.builds(Fraction, st.integers(-4, 4), denominators)
+    p = int(field[1:])
+    return st.builds(Fp, st.integers(0, p - 1), st.just(p))
+
+
+@st.composite
+def square_matrices(draw, sizes):
+    """(rows, field): a square matrix of a size drawn from sizes, over Z
+    (entries -6..6), Q or F_7; from two rows on, half of the time its last
+    row is a combination of the first and the second last, so it is
+    singular."""
+    field = draw(st.sampled_from(("Z", "Q", "F7")))
+    size = draw(sizes)
+    entries = st.integers(-6, 6) if field == "Z" else scalars(field)
+    rows = [[draw(entries) for _ in range(size)] for _ in range(size)]
+    if size >= 2 and draw(st.booleans()):
+        a, b = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    return rows, field
 
 
 class TestMatrix:
@@ -135,15 +154,30 @@ class TestMatrix:
         m = Matrix(((1, 2), (3, 4)))
         assert m.matmul(Matrix.identity(2)) == m
 
-    @given(square_matrices(3))
+    @given(square_matrices(st.integers(0, 3)))
+    @example(([], "Z"))
+    @example(([[Fp(0, 7), Fp(1, 7)], [Fp(0, 7), Fp(3, 7)]], "F7"))
+    @example(([[Fp(1, 7), Fp(2, 7)], [Fp(3, 7), Fp(6, 7)]], "F7"))
+    @example(([[Fraction(1, 2), Fraction(-2, 3), 1],
+               [Fraction(3, 4), 2, Fraction(1, 8)],
+               [Fraction(-1, 3), Fraction(5, 2), Fraction(3, 2)]], "Q"))
     @settings(max_examples=60, deadline=None)
-    def test_det_matches_permutation_expansion(self, rows):
-        assert det(Matrix(rows)) == naive_det(rows)
+    def test_det_matches_permutation_expansion(self, case):
+        # over F_p a singular matrix gives the F_p zero; 0 x 0 gives 1
+        rows, field = case
+        d = det(Matrix(rows, ncols=len(rows)))
+        assert d == naive_det(rows)
+        if field == "F7" and rows:
+            assert isinstance(d, Fp) and d.p == 7
 
-    @given(square_matrices(4))
+    @given(square_matrices(st.just(4)))
     @settings(max_examples=30, deadline=None)
-    def test_det_4x4(self, rows):
-        assert det(Matrix(rows)) == naive_det(rows)
+    def test_det_4x4(self, case):
+        rows, field = case
+        d = det(Matrix(rows))
+        assert d == naive_det(rows)
+        if field == "F7":
+            assert isinstance(d, Fp) and d.p == 7
 
     def test_det_fractions(self):
         m = Matrix(((Fraction(1, 2), 1), (1, Fraction(3, 2))))
@@ -183,20 +217,6 @@ class TestMatrix:
         m = Matrix((), ncols=3)
         assert m.nrows == 0
         assert matrix_rank(m) == 0
-
-
-FIELDS = ("Z", "Q", "F2", "F7")
-
-
-def scalars(field):
-    """Small scalars of one field; over Q with denominators up to 8."""
-    if field == "Z":
-        return st.integers(-4, 4)
-    if field == "Q":
-        denominators = st.sampled_from((1, 2, 3, 4, 8))
-        return st.builds(Fraction, st.integers(-4, 4), denominators)
-    p = int(field[1:])
-    return st.builds(Fp, st.integers(0, p - 1), st.just(p))
 
 
 @st.composite

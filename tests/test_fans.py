@@ -31,6 +31,7 @@ from confan.fans import (
     lattice_e,
     lattice_f,
     maps_into_coordinate_fan,
+    minus_shear,
     mu_apply,
     parse_biflat_label,
     refines,
@@ -371,6 +372,14 @@ class TestDeltaFans:
         for ray, (fmask, gmask) in zip(fan.rays, src.ray_data):
             expected = lattice_e(fmask, 5) + (-lattice_f(gmask & ~fmask, 5))
             assert ray == expected
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_delta_tilde_is_the_sheared_square_conormal_fan(self, name):
+        m = matroid_from_bases(*ORACLE_MATROIDS[name])
+        sheared, fine = minus_shear(square_conormal_fan(m)), delta_tilde_fan(m)
+        assert sheared == fine
+        assert sheared.rays == fine.rays and sheared.maximal == fine.maximal
+        assert sheared.ray_data == fine.ray_data
 
     def test_u23_delta_equals_delta_tilde_geometrically(self):
         m = uniform_matroid(2, 3)
