@@ -10,7 +10,7 @@ from importlib import import_module
 
 # home module -> the public names it exports through the package
 _EXPORTS = {
-    "arith": ("Fp", "Matrix", "MultiPoly", "TermOrder", "det", "kernel_basis", "matrix_rank"),
+    "arith": ("Fp", "Matrix", "MultiPoly", "det", "kernel_basis", "matrix_rank"),
     "charp": (
         "Certificate",
         "fedder_witness",

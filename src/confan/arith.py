@@ -12,8 +12,6 @@ from typing import Iterable, Sequence
 
 from .errors import NonSquare, ZeroPolynomial
 
-Monomial = tuple  # dense exponent vector, one entry per variable
-
 
 def _is_prime(p: int) -> bool:
     if p < 2:
@@ -106,39 +104,13 @@ class Fp:
         return str(self.val)
 
 
-class TermOrder:
-    """Lexicographic order over an explicit variable priority list.
-
-    priority holds variable indices, most significant first.  A block order
-    (compare the x-block, tie-break by the u-block) is the same thing with
-    the blocks concatenated, which keeps the order multiplicative.
-    """
-
-    __slots__ = ("priority",)
-
-    def __init__(self, priority: Iterable[int]):
-        self.priority = tuple(priority)
-
-    @classmethod
-    def lex(cls, nvars: int) -> "TermOrder":
-        return cls(range(nvars))
-
-    @classmethod
-    def blocks(cls, *blocks: Iterable[int]) -> "TermOrder":
-        return cls([i for block in blocks for i in block])
-
-    def key(self, mono: Monomial):
-        return tuple(mono[i] for i in self.priority)
-
-    def __repr__(self):
-        return "TermOrder(%r)" % (self.priority,)
-
-
 class MultiPoly:
     """Exact multivariate polynomial: ordered variable names + sparse terms.
 
     terms maps exponent tuples to nonzero coefficients; zero coefficients are
-    dropped on construction so equality is plain dict equality.
+    dropped on construction so equality is plain dict equality.  Monomials
+    are ordered as their exponent tuples: lex, the first variable most
+    significant.
     """
 
     __slots__ = ("variables", "terms")
@@ -259,9 +231,8 @@ class MultiPoly:
     def __str__(self):
         if not self.terms:
             return "0"
-        order = TermOrder.lex(len(self.variables))
         parts = []
-        for m in sorted(self.terms, key=order.key, reverse=True):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             factors = [
                 v if e == 1 else "%s^%d" % (v, e)
@@ -286,11 +257,11 @@ class MultiPoly:
         return "MultiPoly(%s)" % self
 
 
-def poly_lead_term(p: MultiPoly, order: TermOrder):
-    """Largest monomial of p under order, with its coefficient."""
+def poly_lead_term(p: MultiPoly):
+    """Largest monomial of p under lex order, with its coefficient."""
     if not p.terms:
         raise ZeroPolynomial("zero polynomial has no lead term")
-    m = max(p.terms, key=order.key)
+    m = max(p.terms)
     return m, p.terms[m]
 
 

@@ -1,5 +1,5 @@
 """Certificates in positive characteristic: standard-form reduction, the lead
-terms of the bilinear generators under the x-then-u block order, the Frobenius
+terms of the bilinear generators under the x-then-u lex order, the Frobenius
 splitting witness monomial, linkage generators, and an S-pair division oracle.
 """
 
@@ -11,7 +11,6 @@ from .arith import (
     Fp,
     Matrix,
     MultiPoly,
-    TermOrder,
     _is_prime,
     _promote_div,
     _rref,
@@ -23,6 +22,7 @@ from .config import (
     first_basis,
     lambda_system,
     psi_det,
+    xu_variables,
 )
 from .errors import (
     Degenerate,
@@ -82,12 +82,8 @@ def certificate_from_json(data) -> Certificate:
     return Certificate(kind, verdict, body, reason)
 
 
+# x1 > ... > xn > u1 > ... > ur: plain lex on the joint exponent tuples
 ORDER_NAME = "x-lex,u-lex"
-
-
-def block_order(n: int, r: int) -> TermOrder:
-    # x1 > ... > xn > u1 > ... > ur; plain lex on the concatenated exponents
-    return TermOrder.lex(n + r)
 
 
 def mono_str(mono, variables) -> str:
@@ -119,29 +115,23 @@ def _expected_lead(i: int, n: int, r: int):
 
 
 def lead_term_certificate(c: Configuration) -> Certificate:
-    """Verify lead(q_i) = x_i*u_i for all i under the block order.
+    """Verify lead(q_i) = x_i*u_i for all i under the x-then-u lex order.
 
     A pass certifies the generators are a Groebner basis with squarefree,
     pairwise coprime initial terms, hence a radical complete intersection.
+    The leads x_i*u_i are squarefree and share no variable for distinct i,
+    so matching each lead to x_i*u_i is the whole check.
     """
     ls = lambda_system(c)
-    order = block_order(c.n, c.r)
     leads = []
     for i, q in enumerate(ls.qs):
-        mono, _ = poly_lead_term(q, order)
+        mono, _ = poly_lead_term(q)
         if mono != _expected_lead(i, c.n, c.r):
             raise OrderViolation(
                 "lead of q%d is %s, not %s; reduce to standard form first"
                 % (i + 1, mono_str(mono, ls.variables), "x%d*u%d" % (i + 1, i + 1))
             )
         leads.append(mono)
-    for m in leads:
-        if any(e > 1 for e in m):
-            raise OrderViolation("lead term not squarefree")
-    for i in range(len(leads)):
-        for j in range(i + 1, len(leads)):
-            if any(a and b for a, b in zip(leads[i], leads[j])):
-                raise OrderViolation("lead terms share a variable")
     return Certificate(
         "InitialIdeal",
         "pass",
@@ -188,7 +178,7 @@ def fedder_witness(c: Configuration, p: int) -> Certificate:
     if not _is_prime(p):
         raise ValueError("p must be prime, got %d" % p)
     reduced = _reduce_mod_p(c, p)
-    variables = lambda_system(c).variables
+    variables = xu_variables(c.n, c.r)
     witness = [0] * (c.n + c.r)
     for i in range(c.r):
         witness[i] = p - 1
@@ -239,15 +229,15 @@ def _term_mul(p: MultiPoly, mono, coeff) -> MultiPoly:
     )
 
 
-def divide_remainder(f: MultiPoly, basis, order: TermOrder) -> MultiPoly:
-    """Multivariate division remainder of f by the basis list."""
+def divide_remainder(f: MultiPoly, basis) -> MultiPoly:
+    """Multivariate division remainder of f by the basis list, under lex."""
     remainder = MultiPoly.zero(f.variables)
     work = f
     while work.terms:
-        mono, coeff = poly_lead_term(work, order)
+        mono, coeff = poly_lead_term(work)
         hit = None
         for g in basis:
-            gm, gc = poly_lead_term(g, order)
+            gm, gc = poly_lead_term(g)
             if _mono_divides(gm, mono):
                 hit = (g, gm, gc)
                 break
@@ -272,17 +262,15 @@ def spair_reduction_check(c: Configuration) -> bool:
     """
     if c.n > 6:
         raise Degenerate("S-pair oracle is gated to n <= 6")
-    ls = lambda_system(c)
-    order = block_order(c.n, c.r)
-    qs = list(ls.qs)
+    qs = list(lambda_system(c).qs)
     for i in range(len(qs)):
-        mi, ci = poly_lead_term(qs[i], order)
+        mi, ci = poly_lead_term(qs[i])
         for j in range(i + 1, len(qs)):
-            mj, cj = poly_lead_term(qs[j], order)
+            mj, cj = poly_lead_term(qs[j])
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
             s = _term_mul(qs[i], _mono_sub(lcm, mi), _promote_div(1, ci)) - _term_mul(
                 qs[j], _mono_sub(lcm, mj), _promote_div(1, cj)
             )
-            if divide_remainder(s, qs, order).terms:
+            if divide_remainder(s, qs).terms:
                 return False
     return True

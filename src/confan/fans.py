@@ -154,34 +154,14 @@ class Fan:
                the origin (the empty set)
     ray_data - optional tuple of (F, G) mask pairs when rays index biflats
 
-    The cones passed in may be any family whose faces are the fan's cones;
-    the members that lie in no other member are kept.  Fan.from_maximal
-    takes a family that is already the maximal cones and keeps it as given;
-    the chain builders reduce their families with _maximal_chains.
+    The maximal cones are kept as given, none inside another, and only
+    sorted: the chain builders reduce their families with _maximal_chains,
+    and fan_from_json reduces a family read from outside.
     """
 
     __slots__ = ("n", "rays", "labels", "maximal", "ray_data")
 
-    def __init__(self, n, rays, labels, cones, ray_data=None):
-        cones = {frozenset(c) for c in cones} | {frozenset()}
-        covered = set()
-        maximal = []
-        # largest first, so every cone containing c is seen before c
-        for c in sorted(cones, key=len, reverse=True):
-            if c not in covered:
-                maximal.append(c)
-                covered.update(_faces(c))
-        self._fill(n, rays, labels, maximal, ray_data)
-
-    @classmethod
-    def from_maximal(cls, n, rays, labels, maximal, ray_data=None):
-        """The fan whose maximal cones are the given frozensets, none inside
-        another (the trivial fan: the origin alone); nothing is reduced."""
-        fan = cls.__new__(cls)
-        fan._fill(n, rays, labels, maximal, ray_data)
-        return fan
-
-    def _fill(self, n, rays, labels, maximal, ray_data):
+    def __init__(self, n, rays, labels, maximal, ray_data=None):
         self.n = n
         self.rays = tuple(rays)
         self.labels = tuple(labels)
@@ -262,15 +242,23 @@ def _maximal_chains(chains):
     return [frozenset(c) for c in chains if c not in covered]
 
 
-def bergman_fan(m: Matroid) -> Fan:
-    """Fan of strict flags of nonempty proper flats, with rays e_F."""
+def _bergman_flags(m: Matroid):
+    """The nonempty proper flats of m and the maximal chains among them, each
+    a frozenset of indices into the flats: the maximal cones of the Bergman
+    fan, the origin alone when m has rank 1."""
     if loops_of(m):
         raise HasLoops("matroid has loops")
     props = flats(m).nonempty_proper()
+    chains = _chains(props, lambda a, b: a != b and a & b == a)
+    return props, _maximal_chains(chains)
+
+
+def bergman_fan(m: Matroid) -> Fan:
+    """Fan of strict flags of nonempty proper flats, with rays e_F."""
+    props, flags = _bergman_flags(m)
     rays = [lattice_e(f, m.n) for f in props]
     labels = [subset_label(f, m.n) for f in props]
-    cones = _chains(props, lambda a, b: a != b and a & b == a)
-    return Fan.from_maximal(m.n, rays, labels, _maximal_chains(cones))
+    return Fan(m.n, rays, labels, flags)
 
 
 def square_biflats(m: Matroid):
@@ -325,7 +313,7 @@ def _biflag_fan(m: Matroid, pairs) -> Fan:
         lambda a, b: a != b and _within(a, b),
         lambda chain: _proper_union(chain, diffs, full),
     )
-    return Fan.from_maximal(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
+    return Fan(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
 
 
 def square_conormal_fan(m: Matroid) -> Fan:
@@ -341,27 +329,22 @@ def delta_tilde_fan(m: Matroid) -> Fan:
 
 def delta_fan(m: Matroid) -> Fan:
     """Negative shear of the product of the negated Bergman fan of m with the
-    Bergman fan of its dual."""
+    Bergman fan of its dual, written directly: a ray (e_F, e_F) for each
+    nonempty proper flat F of m, a ray (0, -e_G) for each G of the dual, and
+    a maximal cone for each pair of maximal flags."""
     if loops_of(m) or coloops_of(m):
         raise LoopOrColoop("needs a loopless, coloopless matroid")
     n = m.n
-    left = bergman_fan(m)
-    right = bergman_fan(dual(m))
-    rays = []
-    labels = []
-    for v, lab in zip(left.rays, left.labels):
-        rays.append(mu_apply(-v, "minus").primitive())
-        labels.append(lab)
-    off = len(rays)
-    for v, lab in zip(right.rays, right.labels):
-        shifted = LatticeVector((0,) * n, v.e)
-        rays.append(mu_apply(shifted, "minus").primitive())
-        labels.append("*" + lab)
+    m_props, m_flags = _bergman_flags(m)
+    d_props, d_flags = _bergman_flags(dual(m))
+    rays = [LatticeVector(_indicator(f, n), _indicator(f, n)) for f in m_props]
+    rays += [LatticeVector((0,) * n, [-x for x in _indicator(g, n)]) for g in d_props]
+    labels = [subset_label(f, n) for f in m_props]
+    labels += ["*" + subset_label(g, n) for g in d_props]
+    off = len(m_props)
     # a product cone is maximal exactly when both factors are
-    cones = [
-        c1 | {i + off for i in c2} for c1 in left.maximal for c2 in right.maximal
-    ]
-    return Fan.from_maximal(n, rays, labels, cones)
+    cones = [c1 | {i + off for i in c2} for c1 in m_flags for c2 in d_flags]
+    return Fan(n, rays, labels, cones)
 
 
 # ---------------------------------------------------------------------------
@@ -404,13 +387,6 @@ def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
     return True
 
 
-def _bergman_flags(m: Matroid):
-    """The maximal cones of bergman_fan(m), each as the set of its flats."""
-    fan = bergman_fan(m)
-    flat = [sum(x << i for i, x in enumerate(v.e)) for v in fan.rays]
-    return [frozenset(flat[i] for i in c) for c in fan.maximal]
-
-
 def refines(m: Matroid, fine: Fan):
     """None when fine, read through its ray_data as the fine fan of m (as
     delta_tilde_fan builds it), refines delta_fan(m), which is never built;
@@ -451,7 +427,11 @@ def refines(m: Matroid, fine: Fan):
         if bad:
             return "ray %d (%s): %s" % (i, biflat_label(pairs[i], n), bad)
 
-    m_flags, d_flags = _bergman_flags(m), _bergman_flags(d)
+    # each maximal flag of M and of M* as the set of its flat masks
+    m_flags, d_flags = (
+        [frozenset(props[i] for i in c) for c in flags]
+        for props, flags in map(_bergman_flags, (m, d))
+    )
     m_set, d_set = set(m_flags), set(d_flags)
     by_home = {}
     for tau in dict.fromkeys(fine.maximal):  # a cone listed twice counts once
@@ -526,9 +506,7 @@ def minus_shear(fan: Fan) -> Fan:
     """The fan's image under the negative shear (mu_apply "minus"): the same
     labels, maximal cones and ray_data, each ray sheared."""
     rays = [mu_apply(v, "minus").primitive() for v in fan.rays]
-    sheared = Fan.from_maximal(fan.n, rays, fan.labels, (), ray_data=fan.ray_data)
-    sheared.maximal = fan.maximal  # sorted already: shared, not copied
-    return sheared
+    return Fan(fan.n, rays, fan.labels, fan.maximal, ray_data=fan.ray_data)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +529,9 @@ def fan_to_json(fan: Fan) -> dict:
 
 
 def fan_from_json(data) -> Fan:
+    """The fan of a plain dict as fan_to_json writes it.  Its cones may be
+    any family whose faces are the fan's cones: the members that lie in no
+    other member are kept, and an empty family is the origin alone."""
     try:
         n = int(data["n"])
         rays = [LatticeVector(r["e"], r["f"]) for r in data["rays"]]
@@ -565,7 +546,14 @@ def fan_from_json(data) -> Fan:
     for c in cones:
         if any(i < 0 or i >= len(rays) for i in c):
             raise ParseError("cone references a missing ray")
-    return Fan(n, rays, labels, cones)
+    covered = set()
+    maximal = []
+    # largest first, so every cone containing c is seen before c
+    for c in sorted(set(cones) | {frozenset()}, key=len, reverse=True):
+        if c not in covered:
+            maximal.append(c)
+            covered.update(_faces(c))
+    return Fan(n, rays, labels, maximal)
 
 
 def parse_biflat_label(label: str, n: int):

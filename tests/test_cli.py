@@ -182,7 +182,7 @@ class TestFan:
         # cone's flag pair now bounds one cone instead of two
         def dropped(m):
             fine = delta_tilde_fan(m)
-            return Fan.from_maximal(
+            return Fan(
                 fine.n, fine.rays, fine.labels, fine.maximal[1:], ray_data=fine.ray_data
             )
 

@@ -1,5 +1,5 @@
-"""Golden CLI transcripts: the stdout and exit code of fixed fan, fibre and
-matrix commands must stay byte-identical.
+"""Golden CLI transcripts: the stdout and exit code of fixed fan, fibre,
+classes and matrix commands must stay byte-identical.
 
 The transcripts in tests/data/golden/ were recorded from a known-good tree;
 `python -m tests.test_golden` (run from the repository root, with src on
@@ -44,6 +44,11 @@ def _cases():
                 "resolve-report", name, "--flat", flat,
                 "--subset", "2345", "--output", output,
             ]
+    # the invariant classes: the square chord is not round (no cohomology
+    # ranks), U(2,5) is
+    for tag, name in inputs.items():
+        for output in ("text", "json"):
+            cases["classes-%s-%s" % (tag, output)] = ["classes", name, "--output", output]
     # matrix inputs: Q with integer entries, Q with a/2^k entries whose rows
     # clear to different scales, and F_7; each with the prime charp is run at
     matrices = {
