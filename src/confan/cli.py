@@ -185,7 +185,7 @@ def cmd_fan(args, cap):
 
 
 def cmd_resolve_report(args, cap):
-    from .fans import divisor_incidence, fibre_fan
+    from .fans import biflat_label, divisor_incidence, fibre_biflats
     from .inputs import load_matroid
     from .matroid import parse_subset_label
 
@@ -195,8 +195,9 @@ def cmd_resolve_report(args, cap):
         smask = parse_subset_label(args.subset, m.n)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    fib = fibre_fan(m, fmask, smask)
-    labels = list(fib.labels)
+    # the fibre fan's rays are its biflats; the report needs no cone of it
+    biflats = fibre_biflats(m, fmask, smask)
+    labels = [biflat_label(p, m.n) for p in biflats]
     lines = ["fibre rays (%d): %s" % (len(labels), ", ".join(labels))]
     lines.append("divisors:")
     for lab in labels:
@@ -205,7 +206,7 @@ def cmd_resolve_report(args, cap):
     lines.append("incidence:")
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
-            hit = divisor_incidence([fib.ray_data[i], fib.ray_data[j]], m.n)
+            hit = divisor_incidence([biflats[i], biflats[j]], m.n)
             word = "incident" if hit else "disjoint"
             lines.append("  %s | %s: %s" % (labels[i], labels[j], word))
             pairs.append({"a": labels[i], "b": labels[j], "incident": hit})

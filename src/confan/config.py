@@ -110,7 +110,7 @@ class XRankClass(Enum):
     SINGULAR_ON_X = "SingularOnX"
 
 
-def config_new(a: Matrix, allow_loops: bool = False) -> Configuration:
+def config_new(a: Matrix) -> Configuration:
     """Validate a matrix as a configuration and attach its maximal minors."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
@@ -118,14 +118,13 @@ def config_new(a: Matrix, allow_loops: bool = False) -> Configuration:
     minors = maximal_minors(a)
     if not minors:
         raise RankDeficient("row rank below %d" % r)
-    if not allow_loops:
-        for j in range(n):
-            if all(not a[i, j] for i in range(r)):
-                raise HasLoops("column %d is zero (a loop)" % (j + 1))
+    for j in range(n):
+        if all(not a[i, j] for i in range(r)):
+            raise HasLoops("column %d is zero (a loop)" % (j + 1))
     return Configuration(a, minors)
 
 
-def config_from_graph(edges, allow_loops: bool = False) -> Configuration:
+def config_from_graph(edges) -> Configuration:
     """Configuration of a connected graph: oriented incidence matrix, one vertex row dropped."""
     from .matroid import _connected_components, _vertices
 
@@ -141,7 +140,7 @@ def config_from_graph(edges, allow_loops: bool = False) -> Configuration:
             rows[iu][j] += 1
         if iv < len(rows):
             rows[iv][j] -= 1
-    return config_new(Matrix(rows, ncols=len(edges)), allow_loops=allow_loops)
+    return config_new(Matrix(rows, ncols=len(edges)))
 
 
 def q_w_matrix(c: Configuration) -> Matrix:

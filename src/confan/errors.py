@@ -85,14 +85,6 @@ class NotAFlat(ConfanError):
     """Subset is not a flat of the matroid."""
 
 
-class NotPure(ConfanError):
-    """Fan is not pure of the expected dimension."""
-
-
-class NotSimplicial(ConfanError):
-    """Cone generators are linearly dependent."""
-
-
 # classes
 
 class NotRound(ConfanError):

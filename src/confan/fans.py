@@ -12,7 +12,6 @@ coordinate of each block after subtracting it.
 from __future__ import annotations
 
 from collections import Counter
-from math import gcd
 
 from .errors import (
     HasLoops,
@@ -74,32 +73,10 @@ class LatticeVector:
     def __repr__(self):
         return "LatticeVector(e=%r, f=%r)" % (self.e, self.f)
 
-    def __add__(self, other):
-        return LatticeVector(
-            tuple(a + b for a, b in zip(self.e, other.e)),
-            tuple(a + b for a, b in zip(self.f, other.f)),
-        )
-
-    def __neg__(self):
-        return LatticeVector(tuple(-a for a in self.e), tuple(-a for a in self.f))
-
     def coords(self):
         """Image in Z^(2n-2): subtract the last entry of each block and drop it."""
         return tuple(a - self.e[-1] for a in self.e[:-1]) + tuple(
             b - self.f[-1] for b in self.f[:-1]
-        )
-
-    def is_zero(self) -> bool:
-        return not any(self.e) and not any(self.f)
-
-    def primitive(self):
-        c = 0
-        for x in self.coords():
-            c = gcd(c, x)
-        if c <= 1:
-            return self
-        return LatticeVector(
-            tuple(a // c for a in self.e), tuple(b // c for b in self.f)
         )
 
 
@@ -111,12 +88,10 @@ def lattice_e(mask: int, n: int) -> LatticeVector:
     return LatticeVector(_indicator(mask, n), (0,) * n)
 
 
-def lattice_f(mask: int, n: int) -> LatticeVector:
-    return LatticeVector((0,) * n, _indicator(mask, n))
-
-
 def biflat_ray(fmask: int, gmask: int, n: int) -> LatticeVector:
-    """The ray -e_F + f_G of a square biflat."""
+    """The ray -e_F + f_G of a square biflat.  It is primitive: its entries
+    lie in {-1, 0, 1}, and one coordinate is +-1 because F is proper and
+    (empty, E) is no square biflat."""
     return LatticeVector(
         tuple(-x for x in _indicator(fmask, n)), _indicator(gmask, n)
     )
@@ -305,7 +280,7 @@ def _biflag_fan(m: Matroid, pairs) -> Fan:
     stays proper.  Those chains are closed under subchains, so over any set
     of square biflats this is the part of the full fan that the set spans."""
     n, full = m.n, m.ground
-    rays = [biflat_ray(f, g, n).primitive() for f, g in pairs]
+    rays = [biflat_ray(f, g, n) for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
     diffs = [g & ~f for f, g in pairs]
     cones = _chains(
@@ -397,7 +372,7 @@ def refines(m: Matroid, fine: Fan):
     the biflat (F, G), so that ray lies in the cone of the flag pair (Fs, Gs)
     exactly when F is empty or in Fs and G is E or in Gs: Bergman-cone
     membership (Ardila-Klivans 2006).  The checks, in order:
-    - each ray is the primitive ray of its biflat (F, G), with F a flat of
+    - each ray is the ray of its biflat (F, G), with F a flat of
       m, G a flat of the dual and F within G;
     - each maximal cone is a biflag chain of n - 2 rays whose nonempty Fs
       and whose Gs other than E are maximal cones of the two Bergman fans:
@@ -418,7 +393,7 @@ def refines(m: Matroid, fine: Fan):
     for i, (f, g) in enumerate(pairs):
         ray = LatticeVector(_indicator(f, n), [-x for x in _indicator(g & ~f, n)])
         bad = (
-            "is not (e_F, -e_(G minus F))" if fine.rays[i] != ray.primitive()
+            "is not (e_F, -e_(G minus F))" if fine.rays[i] != ray
             else "F is not a flat of M" if f not in m_flats
             else "G is not a flat of M*" if g not in d_flats
             else "F is not within G" if f & ~g
@@ -490,22 +465,29 @@ def divisor_incidence(biflats, n: int) -> bool:
     )
 
 
-def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
-    """The subfan of the fine resolution fan (delta_tilde_fan) on the rays
-    whose biflat (F', G') has F' within the given flat and G' minus F' within
-    the subset: the negative shear of the biflag fan on those biflats alone."""
+def fibre_biflats(m: Matroid, flat: int, subset: int):
+    """The square biflats (F', G') with F' within the given flat and G' minus
+    F' within the subset, in square_biflats order: the rays of the fibre fan,
+    read without building a cone."""
     if flat not in flats(m).rank:
         raise NotAFlat("%s is not a flat" % subset_label(flat, m.n))
-    kept = [
+    return [
         (f, g) for f, g in square_biflats(m) if f & ~flat == 0 and g & ~f & ~subset == 0
     ]
-    return minus_shear(_biflag_fan(m, kept))
+
+
+def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
+    """The subfan of the fine resolution fan (delta_tilde_fan) on the rays
+    of fibre_biflats: the negative shear of the biflag fan on those biflats
+    alone."""
+    return minus_shear(_biflag_fan(m, fibre_biflats(m, flat, subset)))
 
 
 def minus_shear(fan: Fan) -> Fan:
     """The fan's image under the negative shear (mu_apply "minus"): the same
-    labels, maximal cones and ray_data, each ray sheared."""
-    rays = [mu_apply(v, "minus").primitive() for v in fan.rays]
+    labels, maximal cones and ray_data, each ray sheared.  The shear is a
+    lattice automorphism, so primitive rays stay primitive."""
+    rays = [mu_apply(v, "minus") for v in fan.rays]
     return Fan(fan.n, rays, fan.labels, fan.maximal, ray_data=fan.ray_data)
 
 

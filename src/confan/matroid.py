@@ -90,13 +90,6 @@ class ClassPoly:
         self.coeffs = tuple(int(c) for c in coeffs)
         self.symbol = symbol
 
-    @classmethod
-    def monomial(cls, degree, symbol="t", coeff=1):
-        return cls([0] * degree + [coeff], symbol)
-
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def __bool__(self):
         return bool(self.coeffs)
 

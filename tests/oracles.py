@@ -9,7 +9,13 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
-from confan.errors import NotPure, NotSimplicial
+
+class NotPure(Exception):
+    """Fan is not pure of the expected dimension."""
+
+
+class NotSimplicial(Exception):
+    """Cone generators are linearly dependent."""
 
 
 def whitney_char_poly(n, rank_fn):

@@ -59,11 +59,7 @@ class TestConstruction:
 
     def test_rejects_zero_column(self):
         with pytest.raises(HasLoops):
-            config_new(Matrix(((1, 0, 1), (0, 0, 1))), allow_loops=False)
-
-    def test_allows_loops_on_request(self):
-        c = config_new(Matrix(((1, 0),)), allow_loops=True)
-        assert c.matroid.n == 2
+            config_new(Matrix(((1, 0, 1), (0, 0, 1))))
 
     def test_degenerate_square(self):
         with pytest.raises(Degenerate):

@@ -10,8 +10,6 @@ from confan.errors import (
     HasLoops,
     LoopOrColoop,
     NotAFlat,
-    NotPure,
-    NotSimplicial,
     ParseError,
 )
 from confan.fans import (
@@ -29,7 +27,6 @@ from confan.fans import (
     fibre_fan,
     is_unimodular,
     lattice_e,
-    lattice_f,
     maps_into_coordinate_fan,
     minus_shear,
     mu_apply,
@@ -41,6 +38,7 @@ from confan.fans import (
 from confan.hermite import factor_rows
 from confan.matroid import (
     dual,
+    elements_of,
     mask_of,
     matroid_from_bases,
     parse_subset_label,
@@ -48,6 +46,7 @@ from confan.matroid import (
 )
 
 from . import oracles
+from .oracles import NotPure, NotSimplicial
 
 SQUARE_CHORD_BIFLAT_LABELS = [
     "124⊆E", "135⊆E",
@@ -134,26 +133,14 @@ class TestLatticeVector:
         assert v.f == (0, 0, 0)
         assert v == LatticeVector((5, 6, 7), (0, 0, 0))
 
-    def test_addition_and_negation(self):
-        a = lattice_e(mask_of([1]), 3)
-        b = lattice_e(mask_of([2]), 3)
-        total = a + b
-        assert total == LatticeVector((1, 1, 0), (0, 0, 0))
-        assert (-total) + total == LatticeVector((0, 0, 0), (0, 0, 0))
-        assert (a + (-a)).is_zero()
-
     def test_coords_dimension(self):
-        v = lattice_f(mask_of([1, 3]), 4)
+        v = LatticeVector((0, 0, 0, 0), (1, 0, 1, 0))
         assert len(v.coords()) == 2 * 4 - 2
 
     def test_coords_injective_on_rays(self, square_chord_bases):
         fan = square_conormal_fan(square_chord(square_chord_bases))
         seen = {r.coords() for r in fan.rays}
         assert len(seen) == len(fan.rays)
-
-    def test_primitive(self):
-        v = LatticeVector((2, 0, 4), (0, 6, 0))
-        assert v.primitive() == LatticeVector((1, 0, 2), (0, 3, 0))
 
     def test_mu_forward_then_inverse_is_identity(self):
         v = LatticeVector((1, 0, 2), (0, 3, 1))
@@ -166,7 +153,8 @@ class TestLatticeVector:
 
     def test_mu_minus_is_negated_forward(self):
         v = LatticeVector((2, 1, 0), (1, 0, 4))
-        assert mu_apply(v, "minus") == -(mu_apply(v, "forward"))
+        assert mu_apply(v, "forward") == LatticeVector((2, 1, 0), (3, 1, 4))
+        assert mu_apply(v, "minus") == LatticeVector((-2, -1, 0), (-3, -1, -4))
 
     def test_mu_rejects_bad_direction(self):
         with pytest.raises(ValueError):
@@ -237,9 +225,11 @@ class TestSquareConormal:
 
     def test_ray_rule(self, square_chord_bases):
         fan = square_conormal_fan(square_chord(square_chord_bases))
+        _, vector = oracles.fan_faces("square-conormal", 5, square_chord_bases)
         for (fmask, gmask), ray in zip(fan.ray_data, fan.rays):
             assert ray == biflat_ray(fmask, gmask, 5)
-            assert ray == (-lattice_e(fmask, 5)) + lattice_f(gmask, 5)
+            key = frozenset(elements_of(fmask)), frozenset(elements_of(gmask))
+            assert (ray.e, ray.f) == vector[key]
 
     def test_cones_are_pruned_chains(self, square_chord_bases):
         fan = square_conormal_fan(square_chord(square_chord_bases))
@@ -377,10 +367,11 @@ class TestDeltaFans:
         # rays of the image fan are e_F - f_{G minus F}
         src = square_conormal_fan(square_chord(square_chord_bases))
         fan = delta_tilde_fan(square_chord(square_chord_bases))
+        _, vector = oracles.fan_faces("delta-tilde", 5, square_chord_bases)
         assert fan.labels == src.labels
         for ray, (fmask, gmask) in zip(fan.rays, src.ray_data):
-            expected = lattice_e(fmask, 5) + (-lattice_f(gmask & ~fmask, 5))
-            assert ray == expected
+            key = frozenset(elements_of(fmask)), frozenset(elements_of(gmask))
+            assert (ray.e, ray.f) == vector[key]
 
     @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
     def test_delta_tilde_is_the_sheared_square_conormal_fan(self, name):
@@ -675,18 +666,23 @@ class TestRefinesWitness:
         return m, delta_tilde_fan(m)
 
     @pytest.mark.parametrize(
-        "f,g,problem",
+        "f,g,ray,problem",
         [
-            ("12", "E", "F is not a flat of M"),  # the closure of 12 is 124
-            ("∅", "2", "G is not a flat of M*"),  # 2 is parallel to 4 in M*
-            ("1", "24", "F is not within G"),
+            # the closure of 12 is 124
+            pytest.param("12", "E", LatticeVector((1, 1, 0, 0, 0), (0, 0, -1, -1, -1)),
+                         "F is not a flat of M", id="12-E-F is not a flat of M"),
+            # 2 is parallel to 4 in M*
+            pytest.param("∅", "2", LatticeVector((0, 0, 0, 0, 0), (0, -1, 0, 0, 0)),
+                         "G is not a flat of M*", id="∅-2-G is not a flat of M*"),
+            pytest.param("1", "24", LatticeVector((1, 0, 0, 0, 0), (0, -1, 0, -1, 0)),
+                         "F is not within G", id="1-24-F is not within G"),
         ],
     )
-    def test_ray_with_a_bad_biflat(self, case, f, g, problem):
+    def test_ray_with_a_bad_biflat(self, case, f, g, ray, problem):
         m, fine = case
         pair = (parse_subset_label(f, 5), parse_subset_label(g, 5))
-        # ray 0 moved to the vector its new biflat gives, so only the biflat is bad
-        ray = (lattice_e(pair[0], 5) + -lattice_f(pair[1] & ~pair[0], 5)).primitive()
+        # ray 0 moved to the vector (e_F, -e_(G minus F)) its new biflat
+        # gives, so only the biflat is bad
         bad = mutant(fine, rays=(ray,) + fine.rays[1:], ray_data=(pair,) + fine.ray_data[1:])
         assert refines(m, bad) == "ray 0 (%s⊆%s): %s" % (f, g, problem)
 

@@ -1,5 +1,5 @@
 """Golden CLI transcripts: the stdout and exit code of fixed fan, fibre,
-classes and matrix commands must stay byte-identical.
+classes, matroid-info and matrix commands must stay byte-identical.
 
 The transcripts in tests/data/golden/ were recorded from a known-good tree;
 `python -m tests.test_golden` (run from the repository root, with src on
@@ -32,10 +32,16 @@ def _cases():
                     "fan", name, "--which", kind, "--verify-maps",
                     "--verify-unimodular", "--output", output,
                 ]
+        # square-conormal reaches Δ̃ for --verify-refines through minus_shear
+        for kind in ("delta-tilde", "square-conormal"):
+            for output in ("text", "json"):
+                cases["fan-%s-refines-%s-%s" % (kind, tag, output)] = [
+                    "fan", name, "--which", kind, "--verify-maps",
+                    "--verify-unimodular", "--verify-refines", "--output", output,
+                ]
         for output in ("text", "json"):
-            cases["fan-delta-tilde-refines-%s-%s" % (tag, output)] = [
-                "fan", name, "--which", "delta-tilde", "--verify-maps",
-                "--verify-unimodular", "--verify-refines", "--output", output,
+            cases["matroid-info-%s-%s" % (tag, output)] = [
+                "matroid-info", name, "--output", output,
             ]
     fibres = {"sq": ("square_chord.graph", "124"), "u25": ("u25.bases.json", "1")}
     for tag, (name, flat) in fibres.items():
@@ -44,6 +50,12 @@ def _cases():
                 "resolve-report", name, "--flat", flat,
                 "--subset", "2345", "--output", output,
             ]
+    # the fibre over (E, E): every square biflat of the square chord
+    for output in ("text", "json"):
+        cases["resolve-report-sq-all-%s" % output] = [
+            "resolve-report", "square_chord.graph", "--flat", "E",
+            "--subset", "E", "--output", output,
+        ]
     # the invariant classes: the square chord is not round (no cohomology
     # ranks), U(2,5) is
     for tag, name in inputs.items():
@@ -84,6 +96,18 @@ def test_transcript_unchanged(case):
     code, out = run(CASES[case])
     assert out == (GOLDEN / (case + ".out")).read_bytes()
     assert code == json.loads(EXITS.read_text())[case]
+
+
+def test_resolve_report_builds_no_cone(monkeypatch):
+    # the report reads the fibre's biflats; every cone of a fan comes
+    # from _chains
+    def no_chains(*args, **kwargs):
+        raise AssertionError("a cone was enumerated")
+
+    monkeypatch.setattr("confan.fans._chains", no_chains)
+    code, out = run(CASES["resolve-report-sq-text"])
+    assert code == 0
+    assert out == (GOLDEN / "resolve-report-sq-text.out").read_bytes()
 
 
 def record():
