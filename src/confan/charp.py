@@ -25,9 +25,7 @@ from .config import (
     xu_variables,
 )
 from .errors import (
-    Degenerate,
     LeadTermFailure,
-    OrderViolation,
     ParseError,
 )
 
@@ -120,25 +118,26 @@ def lead_term_certificate(c: Configuration) -> Certificate:
     A pass certifies the generators are a Groebner basis with squarefree,
     pairwise coprime initial terms, hence a radical complete intersection.
     The leads x_i*u_i are squarefree and share no variable for distinct i,
-    so matching each lead to x_i*u_i is the whole check.
+    so matching each lead to x_i*u_i is the whole check.  A fail carries the
+    leads found, and the first mismatch as its reason.
     """
     ls = lambda_system(c)
-    leads = []
-    for i, q in enumerate(ls.qs):
-        mono, _ = poly_lead_term(q)
+    leads = [poly_lead_term(q)[0] for q in ls.qs]
+    reason = None
+    for i, mono in enumerate(leads):
         if mono != _expected_lead(i, c.n, c.r):
-            raise OrderViolation(
-                "lead of q%d is %s, not %s; reduce to standard form first"
-                % (i + 1, mono_str(mono, ls.variables), "x%d*u%d" % (i + 1, i + 1))
+            reason = "lead of q%d is %s, not x%d*u%d; reduce to standard form first" % (
+                i + 1, mono_str(mono, ls.variables), i + 1, i + 1
             )
-        leads.append(mono)
+            break
     return Certificate(
         "InitialIdeal",
-        "pass",
+        "pass" if reason is None else "fail",
         {
             "order": ORDER_NAME,
             "leads": [mono_str(m, ls.variables) for m in leads],
         },
+        reason=reason,
     )
 
 
@@ -183,15 +182,10 @@ def fedder_witness(c: Configuration, p: int) -> Certificate:
     for i in range(c.r):
         witness[i] = p - 1
         witness[c.n + i] = p - 1
-    data = {"order": ORDER_NAME}
-    try:
-        data["leads"] = lead_term_certificate(reduced).data["leads"]
-    except OrderViolation as exc:
-        reason = str(exc)
-    else:
-        reason = None
+    initial = lead_term_certificate(reduced)
+    data = {"order": ORDER_NAME, "leads": initial.data["leads"]}
     data.update(witness=mono_str(tuple(witness), variables), p=p, witness_exponent=p - 1)
-    return Certificate("FPurity", "pass" if reason is None else "fail", data, reason=reason)
+    return Certificate("FPurity", initial.verdict, data, reason=initial.reason)
 
 
 def linkage_generators(c: Configuration):
@@ -252,16 +246,13 @@ def divide_remainder(f: MultiPoly, basis) -> MultiPoly:
 
 
 def spair_reduction_check(c: Configuration) -> bool:
-    """Every S-pair of the bilinear generators divides to zero.  Exhaustive,
-    so gated to small ground sets.
+    """Every S-pair of the bilinear generators divides to zero.  Exhaustive.
 
     This is a cross-check of the division code, not evidence that the
     generators form a Groebner basis: the lead terms are pairwise coprime
     (lead_term_certificate checks that), and by Buchberger's first criterion
     the S-pair of two polynomials with coprime leads always reduces to zero.
     """
-    if c.n > 6:
-        raise Degenerate("S-pair oracle is gated to n <= 6")
     qs = list(lambda_system(c).qs)
     for i in range(len(qs)):
         mi, ci = poly_lead_term(qs[i])

@@ -8,9 +8,7 @@ from math import comb
 
 from .errors import (
     Degenerate,
-    DivisionFailure,
     HasLoops,
-    NonDivisible,
     NotConnected,
     NotRound,
 )
@@ -45,10 +43,8 @@ def motivic_class(m: Matroid) -> ClassPoly:
     for f, chi in contraction_char_polys(m).items():
         if f == full:
             continue
-        try:
-            chi = chi.div_exact(T_MINUS_1).with_symbol("L")
-        except NonDivisible as exc:
-            raise DivisionFailure(str(exc)) from None
+        # M/F is loopless of rank >= 1, so chi(1) = 0: t - 1 divides
+        chi = chi.div_exact(T_MINUS_1).with_symbol("L")
         weight = _projective_space(m.n - rank_of(m, full & ~f))
         total = total + chi * weight
     return total

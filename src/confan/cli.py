@@ -131,36 +131,24 @@ def cmd_fan(args, cap):
         lines.append("ray %d: %s e=%s f=%s" % (i, lab, list(fan.rays[i].e), list(fan.rays[i].f)))
     failures = []
     verify = {}
+
+    def check(key, name, holds):
+        bad = [c for c in maxes if not holds(c)]
+        verify[key] = "fail" if bad else "pass"
+        if bad:
+            names = "; ".join(fans.cone_label(fan, c) for c in bad[:5])
+            failures.append("%s: FAIL on %d maximal cones: %s" % (name, len(bad), names))
+        else:
+            lines.append("%s: pass" % name)
+
     if args.verify_unimodular:
         # a face of a unimodular simplicial cone is unimodular: its
         # generators are part of a lattice basis
-        bad = [c for c in maxes if not fans.is_unimodular(fan, c)]
-        verify["unimodular"] = "pass" if not bad else "fail"
-        if bad:
-            failures.append(
-                "unimodular: FAIL on %d maximal cones, e.g. rays %s"
-                % (len(bad), sorted(bad[0]))
-            )
-        else:
-            lines.append("unimodular: pass")
+        check("unimodular", "unimodular", lambda c: fans.is_unimodular(fan, c))
     if args.verify_maps:
-        bad1 = [c for c in maxes if not fans.maps_into_coordinate_fan(fan, c, "first", "plus")]
-        bad2 = [c for c in maxes if not fans.maps_into_coordinate_fan(fan, c, "second", "minus")]
-        verify["pi1"] = "pass" if not bad1 else "fail"
-        verify["minus_pi2"] = "pass" if not bad2 else "fail"
-        if bad1:
-            failures.append("π1: FAIL on %d maximal cones" % len(bad1))
-        else:
-            lines.append("π1: pass")
-        if bad2:
-            names = [
-                "{%s}" % ", ".join(fan.labels[i] for i in sorted(c)) for c in bad2[:5]
-            ]
-            failures.append(
-                "-π2: FAIL on %d maximal cones: %s" % (len(bad2), "; ".join(names))
-            )
-        else:
-            lines.append("-π2: pass")
+        check("pi1", "π1", lambda c: fans.maps_into_coordinate_fan(fan, c, "first", "plus"))
+        check("minus_pi2", "-π2",
+              lambda c: fans.maps_into_coordinate_fan(fan, c, "second", "minus"))
     if args.verify_refines:
         # Δ̃ → Δ whatever --which is, certified from Δ̃'s biflats; Δ̃ is the
         # square conormal fan's negative shear
@@ -287,7 +275,7 @@ def cmd_charp(args, cap):
     ]
     failures = []
     if cert.verdict != "pass":
-        failures.append("initial ideal certificate failed")
+        failures.append("initial ideal certificate failed: %s" % cert.reason)
     if fcert.verdict != "pass":
         failures.append("fedder witness failed: %s" % fcert.reason)
     payload = {

@@ -61,7 +61,7 @@ class Configuration:
     matroid - column matroid of a, read from minors on first use and kept
     """
 
-    __slots__ = ("a", "r", "n", "minors", "_matroid", "_psi", "_qw")
+    __slots__ = ("a", "r", "n", "minors", "_matroid")
 
     def __init__(self, a: Matrix, minors: dict):
         self.a = a
@@ -69,8 +69,6 @@ class Configuration:
         self.n = a.ncols
         self.minors = minors
         self._matroid = None
-        self._psi = None
-        self._qw = None
 
     @property
     def matroid(self) -> Matroid:
@@ -145,8 +143,6 @@ def config_from_graph(edges) -> Configuration:
 
 def q_w_matrix(c: Configuration) -> Matrix:
     """The r x r symmetric matrix A diag(x) A^T with polynomial entries."""
-    if c._qw is not None:
-        return c._qw
     variables = x_variables(c.n)
     entries = []
     for i in range(c.r):
@@ -161,8 +157,7 @@ def q_w_matrix(c: Configuration) -> Matrix:
                     terms[tuple(mono)] = coeff
             row.append(MultiPoly(variables, terms))
         entries.append(row)
-    c._qw = Matrix(entries, ncols=c.r)
-    return c._qw
+    return Matrix(entries, ncols=c.r)
 
 
 def first_basis(c: Configuration) -> tuple:
@@ -177,14 +172,11 @@ def first_basis(c: Configuration) -> tuple:
 
 def psi_basis_expansion(c: Configuration) -> MultiPoly:
     """Sum over bases B of det(A_B)^2 times the squarefree monomial of B."""
-    if c._psi is not None:
-        return c._psi
     terms = {
         tuple(cols >> k & 1 for k in range(c.n)): minor * minor
         for cols, minor in c.minors.items()
     }
-    c._psi = MultiPoly(x_variables(c.n), terms)
-    return c._psi
+    return MultiPoly(x_variables(c.n), terms)
 
 
 def psi_det(c: Configuration) -> MultiPoly:

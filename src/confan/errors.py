@@ -91,15 +91,7 @@ class NotRound(ConfanError):
     """Operation requires a round matroid."""
 
 
-class DivisionFailure(ConfanError):
-    """Motivic sum failed exact division by (L - 1)."""
-
-
 # charp
-
-class OrderViolation(ConfanError):
-    """A lead term differs from the standard-form prediction."""
-
 
 class LeadTermFailure(ConfanError):
     """Certificate prerequisite on lead terms failed."""

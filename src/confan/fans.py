@@ -338,26 +338,21 @@ def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
     """Whether the projected cone lands in one cone of the coordinate fan.
 
     Project each generator to the chosen block, apply the sign, and intersect
-    the argmin sets; nonempty intersection means a common minimizing
-    coordinate, and the min inequalities survive nonnegative combinations.
+    the argmin sets, as bitmasks; nonempty intersection means a common
+    minimizing coordinate, and the min inequalities survive nonnegative
+    combinations.  The argmin of the negated block is the argmax of the block.
     """
     if block not in ("first", "second"):
         raise ValueError("block must be 'first' or 'second'")
-    idx = sorted(cone)
-    if not idx:
-        return True
-    j_set = None
-    for i in idx:
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
+    common = -1  # every coordinate
+    for i in cone:
         v = fan.rays[i]
         proj = v.e if block == "first" else v.f
-        if sign == "minus":
-            proj = tuple(-x for x in proj)
-        elif sign != "plus":
-            raise ValueError("sign must be 'plus' or 'minus'")
-        lo = min(proj)
-        cur = {j for j, x in enumerate(proj) if x == lo}
-        j_set = cur if j_set is None else j_set & cur
-        if not j_set:
+        lo = min(proj) if sign == "plus" else max(proj)
+        common &= sum(1 << j for j, x in enumerate(proj) if x == lo)
+        if not common:
             return False
     return True
 
@@ -420,7 +415,7 @@ def refines(m: Matroid, fine: Fan):
             or fs not in m_set
             or gs not in d_set
         ):
-            return "cone %s: no home" % _cone_label(fine, tau)
+            return "cone %s: no home" % cone_label(fine, tau)
         by_home.setdefault((fs, gs), []).append(tau)
 
     if len(by_home) < len(m_flags) * len(d_flags):
@@ -432,12 +427,12 @@ def refines(m: Matroid, fine: Fan):
             expected = 2 if inside else 1
             if count != expected:
                 return "facet %s in home %s: count %d, not %d" % (
-                    _cone_label(fine, rho), _home_label((fs, gs), n), count, expected
+                    cone_label(fine, rho), _home_label((fs, gs), n), count, expected
                 )
     return None
 
 
-def _cone_label(fan: Fan, cone) -> str:
+def cone_label(fan: Fan, cone) -> str:
     return "{%s}" % ", ".join(fan.labels[i] for i in sorted(cone))
 
 

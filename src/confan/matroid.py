@@ -299,9 +299,9 @@ class FlatLattice:
     rank  - read-only mapping flat -> rank
     """
 
-    def __init__(self, flats, rank, n):
+    def __init__(self, rank, n):
         self.rank = MappingProxyType(dict(rank))
-        self.flats = tuple(sorted(flats, key=lambda f: (self.rank[f], f)))
+        self.flats = tuple(sorted(self.rank, key=lambda f: (self.rank[f], f)))
         self.n = n
 
     def __iter__(self):
@@ -393,8 +393,6 @@ def matroid_from_graph(edges) -> Matroid:
         chosen = [edges[i] for i in subset]
         if _connected_components(vertices, chosen) == 1:
             bases.append(mask_of(i + 1 for i in subset))
-    if not bases:
-        raise Degenerate("graph has no spanning tree")
     return Matroid(n, bases, check=False)
 
 
@@ -435,7 +433,7 @@ def flats(m: Matroid) -> FlatLattice:
                         found[g] = rank[g]
                         above.append(g)
             level = above
-        m._lattice = FlatLattice(found, found, m.n)
+        m._lattice = FlatLattice(found, m.n)
     return m._lattice
 
 

@@ -6,9 +6,13 @@ from pathlib import Path
 
 import pytest
 
+import confan.charp
+import confan.config
 import confan.fans
 from confan.charp import certificate_from_json
 from confan.cli import main
+from confan.config import config_new
+from confan.errors import Mismatch
 from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
 from confan.matroid import Matroid
 
@@ -122,6 +126,20 @@ class TestPsi:
         )
         assert code == 0
 
+    def test_det_mismatch_exits_3(self, capsys, data_dir, monkeypatch):
+        def disagree(c):
+            raise Mismatch("determinant route disagrees with the basis expansion")
+
+        monkeypatch.setattr(confan.config, "psi_det", disagree)
+        code, out, err = run_cli(
+            capsys, "psi", str(data_dir / "square_chord.mat.json"), "--check-det"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "verification failure: determinant route disagrees with the basis expansion\n"
+        )
+
     def test_bases_input_rejected(self, capsys, data_dir):
         # psi needs a realization; bases alone cannot provide one
         code, _, err = run_cli(capsys, "psi", str(data_dir / "u25.bases.json"))
@@ -169,13 +187,31 @@ class TestFan:
                 "--verify-unimodular"]
         code, out, _ = run_cli(capsys, *argv)
         assert code == 3
-        assert "unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]" in out.splitlines()
+        assert "unimodular: FAIL on 1 maximal cones: {a, b}" in out.splitlines()
         assert "unimodular: pass" not in out
         code, out, _ = run_cli(capsys, *argv, "--output", "json")
         assert code == 3
         data = json.loads(out)
         assert data["verify"]["unimodular"] == "fail"
-        assert data["failures"] == ["unimodular: FAIL on 1 maximal cones, e.g. rays [0, 1]"]
+        assert data["failures"] == ["unimodular: FAIL on 1 maximal cones: {a, b}"]
+
+    def test_pi1_failure_names_its_cone(self, capsys, data_dir, monkeypatch):
+        # the first blocks are least only at coordinates 1 and 2: no
+        # coordinate is least on both, while the zero second blocks pass
+        rays = (LatticeVector((1, 0, 1), (0, 0, 0)),
+                LatticeVector((1, 1, 0), (0, 0, 0)))
+        split = Fan(3, rays, ("a", "b"), [frozenset([0, 1])])
+        monkeypatch.setattr(confan.fans, "delta_fan", lambda m: split)
+        argv = ["fan", str(data_dir / "square_chord.graph"), "--which", "delta",
+                "--verify-maps"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert out.splitlines()[-2:] == ["-π2: pass", "π1: FAIL on 1 maximal cones: {a, b}"]
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 3
+        data = json.loads(out)
+        assert data["verify"] == {"pi1": "fail", "minus_pi2": "pass"}
+        assert data["failures"] == ["π1: FAIL on 1 maximal cones: {a, b}"]
 
     def test_refines_failure_prints_its_witness(self, capsys, data_dir, monkeypatch):
         # the fine fan less its first maximal cone: a facet inside that
@@ -362,6 +398,33 @@ class TestCharp:
             capsys, "charp", str(data_dir / "square_chord.graph"), "--p", "3"
         )
         assert code == 0
+
+    def test_failed_initial_ideal_exits_3(self, capsys, data_dir, monkeypatch):
+        # the identity block moved to the back, as the standard form
+        def shuffled(c):
+            return config_new(c.a.column_submatrix([3, 4, 0, 1, 2])), (3, 4, 0, 1, 2)
+
+        monkeypatch.setattr(confan.charp, "row_reduce_to_standard", shuffled)
+        reason = "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
+        argv = ["charp", str(data_dir / "square_chord.mat.json"), "--p", "3"]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 3
+        assert out.splitlines()[2:] == [
+            "initial ideal: fail (leads x1*u1, x1*u1, x2*u1)",
+            "fedder witness (p=3): x1^2*x2^2*x3^2*u1^2*u2^2*u3^2 -> fail",
+            "initial ideal certificate failed: %s" % reason,
+            "fedder witness failed: %s" % reason,
+        ]
+        code, out, _ = run_cli(capsys, *argv, "--output", "json")
+        assert code == 3
+        data = json.loads(out)
+        initial = certificate_from_json(data["initial"])
+        assert (initial.verdict, initial.reason) == ("fail", reason)
+        assert initial.data["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
+        assert data["failures"] == [
+            "initial ideal certificate failed: %s" % reason,
+            "fedder witness failed: %s" % reason,
+        ]
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -457,6 +457,12 @@ class TestCoordinateMaps:
         with pytest.raises(ValueError):
             maps_into_coordinate_fan(fan, cone, "first", "sideways")
 
+    def test_bad_sign_on_empty_cone(self, square_chord_bases):
+        # the arguments are checked before the cone's rays are read
+        fan = delta_tilde_fan(square_chord(square_chord_bases))
+        with pytest.raises(ValueError):
+            maps_into_coordinate_fan(fan, frozenset(), "first", "sideways")
+
     def test_trivial_cone_passes(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
         assert maps_into_coordinate_fan(fan, frozenset(), "first", "plus")
