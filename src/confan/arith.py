@@ -133,9 +133,6 @@ class MultiPoly:
         mono[i] = 1
         return cls(variables, {tuple(mono): coeff})
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -218,16 +215,6 @@ class MultiPoly:
                 terms[lowered] = terms.get(lowered, 0) + c * m[i]
         return MultiPoly(self.variables, terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
-
-    def max_exponent(self) -> int:
-        if not self.terms:
-            return 0
-        return max(max(m) for m in self.terms)
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -287,10 +274,6 @@ class Matrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def __getitem__(self, ij):
         i, j = ij
@@ -391,16 +374,25 @@ def _clearing(rows):
     return None, [lcm(*(x.denominator for x in row)) for row in rows]
 
 
-def _to_int(x, scale: int, p) -> int:
-    """x of a row with the given scale, as an integer (see _clearing)."""
-    if p is None:
-        return x.numerator * (scale // x.denominator)
+def _residue(x, p: int) -> int:
+    """x mod p, in [0, p): x is an Fp of modulus p, or a rational whose
+    denominator p does not divide.  Another modulus raises ValueError, a
+    denominator divisible by p ZeroDivisionError."""
     if isinstance(x, Fp):
         if x.p != p:
             raise ValueError("mixed moduli %d and %d" % (p, x.p))
         return x.val
     x = Fraction(x)
+    if x.denominator % p == 0:
+        raise ZeroDivisionError("entry %s has denominator divisible by %d" % (x, p))
     return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def _to_int(x, scale: int, p) -> int:
+    """x of a row with the given scale, as an integer (see _clearing)."""
+    if p is None:
+        return x.numerator * (scale // x.denominator)
+    return _residue(x, p)
 
 
 def _from_int(d: int, denominator: int, p):

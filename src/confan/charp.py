@@ -5,14 +5,13 @@ splitting witness monomial, linkage generators, and an S-pair division oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .arith import (
     Fp,
     Matrix,
     MultiPoly,
     _is_prime,
     _promote_div,
+    _residue,
     _rref,
     poly_lead_term,
 )
@@ -85,10 +84,7 @@ ORDER_NAME = "x-lex,u-lex"
 
 
 def mono_str(mono, variables) -> str:
-    parts = [
-        v if e == 1 else "%s^%d" % (v, e) for v, e in zip(variables, mono) if e
-    ]
-    return "*".join(parts) if parts else "1"
+    return str(MultiPoly(variables, {mono: 1}))
 
 
 def row_reduce_to_standard(c: Configuration):
@@ -121,13 +117,13 @@ def lead_term_certificate(c: Configuration) -> Certificate:
     so matching each lead to x_i*u_i is the whole check.  A fail carries the
     leads found, and the first mismatch as its reason.
     """
-    ls = lambda_system(c)
-    leads = [poly_lead_term(q)[0] for q in ls.qs]
+    variables = xu_variables(c.n, c.r)
+    leads = [poly_lead_term(q)[0] for q in lambda_system(c)]
     reason = None
     for i, mono in enumerate(leads):
         if mono != _expected_lead(i, c.n, c.r):
             reason = "lead of q%d is %s, not x%d*u%d; reduce to standard form first" % (
-                i + 1, mono_str(mono, ls.variables), i + 1, i + 1
+                i + 1, mono_str(mono, variables), i + 1, i + 1
             )
             break
     return Certificate(
@@ -135,29 +131,17 @@ def lead_term_certificate(c: Configuration) -> Certificate:
         "pass" if reason is None else "fail",
         {
             "order": ORDER_NAME,
-            "leads": [mono_str(m, ls.variables) for m in leads],
+            "leads": [mono_str(m, variables) for m in leads],
         },
         reason=reason,
     )
 
 
 def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
-    rows = []
-    for row in c.a.rows:
-        out = []
-        for x in row:
-            if isinstance(x, Fp):
-                if x.p != p:
-                    raise ValueError("entries live in characteristic %d" % x.p)
-                out.append(x)
-            else:
-                fr = Fraction(x)
-                if fr.denominator % p == 0:
-                    raise LeadTermFailure(
-                        "entry %s has denominator divisible by %d" % (fr, p)
-                    )
-                out.append(Fp(fr.numerator, p) / Fp(fr.denominator, p))
-        rows.append(out)
+    try:
+        rows = [[Fp(_residue(x, p), p) for x in row] for row in c.a.rows]
+    except ZeroDivisionError as exc:
+        raise LeadTermFailure(str(exc)) from None
     return config_new(Matrix(rows, ncols=c.n))
 
 
@@ -191,13 +175,12 @@ def fedder_witness(c: Configuration, p: int) -> Certificate:
 def linkage_generators(c: Configuration):
     """The bilinear generators together with the determinant polynomial,
     all in the joint variable ring; the determinant identity is re-checked."""
-    ls = lambda_system(c)
     psi = psi_det(c)
     lifted = MultiPoly(
-        ls.variables,
+        xu_variables(c.n, c.r),
         {m + (0,) * c.r: coeff for m, coeff in psi.terms.items()},
     )
-    return list(ls.qs) + [lifted]
+    return list(lambda_system(c)) + [lifted]
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +236,7 @@ def spair_reduction_check(c: Configuration) -> bool:
     (lead_term_certificate checks that), and by Buchberger's first criterion
     the S-pair of two polynomials with coprime leads always reduces to zero.
     """
-    qs = list(lambda_system(c).qs)
+    qs = lambda_system(c)
     for i in range(len(qs)):
         mi, ci = poly_lead_term(qs[i])
         for j in range(i + 1, len(qs)):

@@ -57,7 +57,7 @@ def cmd_matroid_info(args, cap):
     ]
     flat_report = {}
     for k in range(m.r + 1):
-        labels = [subset_label(f, m.n) for f in lattice.by_rank(k)]
+        labels = [subset_label(f, m.n) for f, rk in lattice.items() if rk == k]
         flat_report[k] = labels
         lines.append("flats rank %d: %s" % (k, ", ".join(labels)))
     connected = is_connected(m)

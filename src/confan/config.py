@@ -190,24 +190,9 @@ def psi_det(c: Configuration) -> MultiPoly:
     return p
 
 
-class LambdaSystem:
-    """
-    The r bilinear incidence forms q_i = (A diag(x) A^T u)_i.
-
-    qs        - tuple of MultiPoly in x1..xn, u1..ur
-    variables - the joint variable list
-    """
-
-    __slots__ = ("qs", "variables", "r", "n")
-
-    def __init__(self, qs, variables, r, n):
-        self.qs = tuple(qs)
-        self.variables = tuple(variables)
-        self.r = r
-        self.n = n
-
-
-def lambda_system(c: Configuration) -> LambdaSystem:
+def lambda_system(c: Configuration) -> tuple:
+    """The r bilinear incidence forms q_i = (A diag(x) A^T u)_i, each a
+    MultiPoly in the joint variables x1..xn, u1..ur (xu_variables)."""
     variables = xu_variables(c.n, c.r)
     qs = []
     for i in range(c.r):
@@ -222,7 +207,7 @@ def lambda_system(c: Configuration) -> LambdaSystem:
                     mono = tuple(mono)
                     terms[mono] = terms.get(mono, 0) + coeff
         qs.append(MultiPoly(variables, terms))
-    return LambdaSystem(qs, variables, c.r, c.n)
+    return tuple(qs)
 
 
 def _zero_mask(vec) -> int:

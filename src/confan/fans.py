@@ -12,6 +12,7 @@ coordinate of each block after subtracting it.
 from __future__ import annotations
 
 from collections import Counter
+from copy import copy
 
 from .errors import (
     HasLoops,
@@ -223,7 +224,7 @@ def _bergman_flags(m: Matroid):
     fan, the origin alone when m has rank 1."""
     if loops_of(m):
         raise HasLoops("matroid has loops")
-    props = flats(m).nonempty_proper()
+    props = [f for f in flats(m) if f not in (0, m.ground)]
     chains = _chains(props, lambda a, b: a != b and a & b == a)
     return props, _maximal_chains(chains)
 
@@ -243,8 +244,8 @@ def square_biflats(m: Matroid):
         raise LoopOrColoop("square biflats need a loopless, coloopless matroid")
     full = m.ground
     out = []
-    dual_flats = flats(dual(m)).flats
-    for f in flats(m).flats:
+    dual_flats = flats(dual(m))
+    for f in flats(m):
         if f == full:
             continue
         for g in dual_flats:
@@ -384,7 +385,7 @@ def refines(m: Matroid, fine: Fan):
     if pairs is None or len(pairs) != len(fine.rays):
         return "the rays carry no biflats"
     d = dual(m)
-    m_flats, d_flats = flats(m).rank, flats(d).rank
+    m_flats, d_flats = flats(m), flats(d)
     for i, (f, g) in enumerate(pairs):
         ray = LatticeVector(_indicator(f, n), [-x for x in _indicator(g & ~f, n)])
         bad = (
@@ -464,7 +465,7 @@ def fibre_biflats(m: Matroid, flat: int, subset: int):
     """The square biflats (F', G') with F' within the given flat and G' minus
     F' within the subset, in square_biflats order: the rays of the fibre fan,
     read without building a cone."""
-    if flat not in flats(m).rank:
+    if flat not in flats(m):
         raise NotAFlat("%s is not a flat" % subset_label(flat, m.n))
     return [
         (f, g) for f, g in square_biflats(m) if f & ~flat == 0 and g & ~f & ~subset == 0
@@ -479,11 +480,12 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
 
 
 def minus_shear(fan: Fan) -> Fan:
-    """The fan's image under the negative shear (mu_apply "minus"): the same
-    labels, maximal cones and ray_data, each ray sheared.  The shear is a
-    lattice automorphism, so primitive rays stay primitive."""
-    rays = [mu_apply(v, "minus") for v in fan.rays]
-    return Fan(fan.n, rays, fan.labels, fan.maximal, ray_data=fan.ray_data)
+    """The fan's image under the negative shear (mu_apply "minus"): a copy
+    sharing the labels, maximal cones and ray_data, each ray sheared.  The
+    shear is a lattice automorphism, so primitive rays stay primitive."""
+    out = copy(fan)
+    out.rays = tuple(mu_apply(v, "minus") for v in fan.rays)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 def parse_scalar(text, field: str = "Q", p: int | None = None):
     from fractions import Fraction
 
-    from .arith import Fp
+    from .arith import Fp, _residue
 
     try:
         fr = Fraction(str(text))
@@ -35,9 +35,10 @@ def parse_scalar(text, field: str = "Q", p: int | None = None):
         raise ParseError("bad scalar %r" % (text,)) from None
     if field == "Q":
         return int(fr) if fr.denominator == 1 else fr
-    if fr.denominator % p == 0:
-        raise ParseError("scalar %s undefined mod %d" % (fr, p))
-    return Fp(fr.numerator, p) / Fp(fr.denominator, p)
+    try:
+        return Fp(_residue(fr, p), p)
+    except ZeroDivisionError:
+        raise ParseError("scalar %s undefined mod %d" % (fr, p)) from None
 
 
 def matrix_from_json(data) -> Matrix:

@@ -290,42 +290,6 @@ class Matroid:
         return "Matroid(n=%d, r=%d, %d bases)" % (self.n, self.r, len(self.bases))
 
 
-class FlatLattice:
-    """
-    All flats of a matroid, graded by rank.  flats(m) hands the same lattice
-    to every caller, so it is read-only.
-
-    flats - tuple of bitmasks sorted by (rank, mask)
-    rank  - read-only mapping flat -> rank
-    """
-
-    def __init__(self, rank, n):
-        self.rank = MappingProxyType(dict(rank))
-        self.flats = tuple(sorted(self.rank, key=lambda f: (self.rank[f], f)))
-        self.n = n
-
-    def __iter__(self):
-        return iter(self.flats)
-
-    def __len__(self):
-        return len(self.flats)
-
-    def __contains__(self, f):
-        return f in self.rank
-
-    def proper(self):
-        """Flats other than the full ground set (the closure of the empty set counts)."""
-        top = (1 << self.n) - 1
-        return tuple(f for f in self.flats if f != top)
-
-    def nonempty_proper(self):
-        top = (1 << self.n) - 1
-        return tuple(f for f in self.flats if f != top and f != 0)
-
-    def by_rank(self, k):
-        return tuple(f for f in self.flats if self.rank[f] == k)
-
-
 def matroid_from_bases(n, bases) -> Matroid:
     """Matroid from explicit bases given as element lists (1-based)."""
     return Matroid(n, [mask_of(b) for b in bases])
@@ -412,10 +376,11 @@ def closure(m: Matroid, s: int) -> int:
     return out
 
 
-def flats(m: Matroid) -> FlatLattice:
+def flats(m: Matroid) -> MappingProxyType:
     """Every flat, level by level: the closure of the empty set, then the
     closures of F + e over the flats F of the level below, which are exactly
-    the flats covering F.  Built once per matroid and kept."""
+    the flats covering F.  Built once per matroid and kept: a read-only
+    mapping flat -> rank, iterated in (rank, mask) order."""
     if m._lattice is None:
         rank = m.rank_table()
         bottom = closure(m, 0)
@@ -433,7 +398,8 @@ def flats(m: Matroid) -> FlatLattice:
                         found[g] = rank[g]
                         above.append(g)
             level = above
-        m._lattice = FlatLattice(found, m.n)
+        order = sorted(found, key=lambda f: (found[f], f))
+        m._lattice = MappingProxyType({f: found[f] for f in order})
     return m._lattice
 
 
@@ -458,16 +424,15 @@ def dual(m: Matroid) -> Matroid:
     return Matroid(m.n, [full & ~b for b in m.bases], check=False)
 
 
-def _relabel(masks, keep_mask, n):
-    keep = elements_of(keep_mask)
-    position = {e: i for i, e in enumerate(keep)}
-    out = []
-    for mask in masks:
-        new = 0
-        for e in elements_of(mask):
-            new |= 1 << position[e]
-        out.append(new)
-    return out, len(keep)
+def _minor(keep: int, rk: int, is_basis) -> Matroid:
+    """The matroid on keep whose bases are the rk-subsets s of keep with
+    is_basis(s); the kept elements are renumbered 1..n' in order."""
+    kept = elements_of(keep)
+    bases = []
+    for cols in combinations(range(len(kept)), rk):
+        if is_basis(mask_of(kept[i] for i in cols)):
+            bases.append(mask_of(i + 1 for i in cols))
+    return Matroid(len(kept), bases, check=False)
 
 
 def delete(m: Matroid, f: int) -> Matroid:
@@ -477,13 +442,7 @@ def delete(m: Matroid, f: int) -> Matroid:
     rk = rank[keep]
     if rk == 0:
         raise EmptyResult("deletion leaves nothing of positive rank")
-    bases = []
-    for cols in combinations(elements_of(keep), rk):
-        s = mask_of(cols)
-        if rank[s] == rk:
-            bases.append(s)
-    relabeled, n2 = _relabel(bases, keep, m.n)
-    return Matroid(n2, relabeled, check=False)
+    return _minor(keep, rk, lambda s: rank[s] == rk)
 
 
 def contract(m: Matroid, f: int) -> Matroid:
@@ -497,13 +456,7 @@ def contract(m: Matroid, f: int) -> Matroid:
     rk = m.r - rank[f]
     if rk == 0:
         raise EmptyResult("contraction has rank zero")
-    bases = []
-    for cols in combinations(elements_of(keep), rk):
-        s = mask_of(cols)
-        if rank[s | f] == m.r:
-            bases.append(s)
-    relabeled, n2 = _relabel(bases, keep, m.n)
-    return Matroid(n2, relabeled, check=False)
+    return _minor(keep, rk, lambda s: rank[s | f] == m.r)
 
 
 def is_connected(m: Matroid) -> bool:
@@ -518,11 +471,11 @@ def is_connected(m: Matroid) -> bool:
 
 def roundness_witnesses(m: Matroid) -> list:
     """The proper flats F, the empty closure included, with rank(E minus F)
-    below rank(E), in the order of flats(m).proper(); m is round exactly
-    when there are none."""
+    below rank(E), in the order of flats(m); m is round exactly when there
+    are none."""
     rank = m.rank_table()
     full = m.ground
-    return [f for f in flats(m).proper() if rank[full & ~f] < m.r]
+    return [f for f in flats(m) if f != full and rank[full & ~f] < m.r]
 
 
 def is_round(m: Matroid) -> bool:

@@ -127,7 +127,7 @@ def test_criterion_04_jacobian_dichotomy():
         assert jacobian_rank(c, p) == 2
     full = (1 << 5) - 1
     spanning_flats = [
-        f for f in flats(m).proper() if rank_of(m, full & ~f) == m.r
+        f for f in flats(m) if f != full and rank_of(m, full & ~f) == m.r
     ]
     assert len(spanning_flats) == 10
     rng = random.Random(4)

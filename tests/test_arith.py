@@ -104,10 +104,8 @@ class TestMultiPoly:
     def test_zero_product_and_degree(self):
         x = MultiPoly.var(("x",), 0)
         zero = x - x
-        assert zero.is_zero()
-        assert (zero * x).is_zero()
-        assert (x ** 2 * x).total_degree() == 3
-        assert (x ** 4 + x).max_exponent() == 4
+        assert not zero
+        assert not zero * x
 
 
 FIELDS = ("Z", "Q", "F2", "F7")
@@ -148,7 +146,7 @@ class TestMatrix:
 
     def test_matmul_identity(self):
         m = Matrix(((1, 2), (3, 4)))
-        assert m.matmul(Matrix.identity(2)) == m
+        assert m.matmul(Matrix(((1, 0), (0, 1)))) == m
 
     @given(square_matrices(st.integers(0, 3)))
     @example(([], "Z"))

@@ -165,7 +165,7 @@ class TestLinkage:
     def test_square_chord_generators(self, square_chord_config):
         gens = linkage_generators(square_chord_config)
         assert len(gens) == 4
-        qs = lambda_system(square_chord_config).qs
+        qs = lambda_system(square_chord_config)
         assert gens[:3] == list(qs)
         # last generator is psi lifted into the joint ring: no u variables
         psi_lift = gens[3]

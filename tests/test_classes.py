@@ -55,7 +55,7 @@ def contraction_route(m):
     polynomial of M/F, each contraction built as a matroid with its own
     lattice, times [P^(n - rank(E minus F) - 1)]."""
     total = ClassPoly([], "L")
-    for f in flats(m).proper():
+    for f in (f for f in flats(m) if f != m.ground):
         chi = reduced_char_poly(contract(m, f)).with_symbol("L")
         total = total + chi * ClassPoly([1] * (m.n - rank_of(m, m.ground & ~f)), "L")
     return total

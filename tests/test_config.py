@@ -164,21 +164,21 @@ class TestPsi:
 
 class TestLambdaSystem:
     def test_shapes_and_variables(self, square_chord_config):
-        sys = lambda_system(square_chord_config)
-        assert len(sys.qs) == 3
-        assert sys.qs[0].variables == (
+        qs = lambda_system(square_chord_config)
+        assert len(qs) == 3
+        assert qs[0].variables == (
             "x1", "x2", "x3", "x4", "x5", "u1", "u2", "u3",
         )
 
     def test_q_is_bilinear(self, square_chord_config):
         # each q_i is degree 1 in x and degree 1 in u
-        for q in lambda_system(square_chord_config).qs:
+        for q in lambda_system(square_chord_config):
             for mono in q.terms:
                 assert sum(mono[:5]) == 1 and sum(mono[5:]) == 1
 
     def test_q_matches_matrix_product(self, square_chord_config):
         # evaluate q_i at concrete (beta, w): must equal (A D_beta A^T w)_i
-        sys = lambda_system(square_chord_config)
+        qs = lambda_system(square_chord_config)
         beta = [1, 2, 3, 4, 5]
         w = [1, -1, 2]
         a = square_chord_config.a
@@ -186,7 +186,7 @@ class TestLambdaSystem:
             tuple(beta[i] if i == j else 0 for j in range(5)) for i in range(5)
         ))
         expected = a.matmul(d).matmul(a.transpose()).apply(w)
-        got = [q.evaluate(tuple(beta) + tuple(w)) for q in sys.qs]
+        got = [q.evaluate(tuple(beta) + tuple(w)) for q in qs]
         assert got == expected
 
     def test_point_membership(self, square_chord_config):

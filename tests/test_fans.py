@@ -381,6 +381,13 @@ class TestDeltaFans:
         assert sheared.rays == fine.rays and sheared.maximal == fine.maximal
         assert sheared.ray_data == fine.ray_data
 
+    def test_minus_shear_shears_only_the_rays(self):
+        fan = square_conormal_fan(uniform_matroid(2, 4))
+        sheared = minus_shear(fan)
+        assert sheared.maximal is fan.maximal
+        assert sheared.labels is fan.labels and sheared.ray_data is fan.ray_data
+        assert sheared.rays == tuple(mu_apply(v, "minus") for v in fan.rays)
+
     def test_u23_delta_equals_delta_tilde_geometrically(self):
         m = uniform_matroid(2, 3)
         dt, dd = delta_tilde_fan(m), delta_fan(m)
