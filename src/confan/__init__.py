@@ -30,25 +30,12 @@ _EXPORTS = {
     ),
     "config": (
         "Configuration",
-        "Point",
-        "XRankClass",
         "config_from_graph",
         "config_new",
-        "dual_config",
-        "duality_map",
-        "hadamard_square",
-        "iota_differential_check",
-        "jacobian_rank",
         "lambda_system",
-        "nonround_flats",
-        "on_lambda",
         "psi_basis_expansion",
         "psi_det",
         "q_w_matrix",
-        "sample_stratum_point",
-        "sample_torus_point",
-        "singular_witness",
-        "x_rank_class",
     ),
     "fans": (
         "Fan",
@@ -66,6 +53,21 @@ _EXPORTS = {
         "refines",
         "square_biflats",
         "square_conormal_fan",
+    ),
+    "incidence": (
+        "Point",
+        "XRankClass",
+        "dual_config",
+        "duality_map",
+        "hadamard_square",
+        "iota_differential_check",
+        "jacobian_rank",
+        "nonround_flats",
+        "on_lambda",
+        "sample_stratum_point",
+        "sample_torus_point",
+        "singular_witness",
+        "x_rank_class",
     ),
     "matroid": (
         "Matroid",

@@ -463,9 +463,10 @@ def det(m: Matrix):
     """Exact determinant of a square matrix of scalars, or of MultiPoly
     entries among scalars: the full-width minor of the Laplace kernel
     (_laplace), in O(n 2^n) ring operations against elimination's O(n^3).
-    The one scalar caller, dual_config, asks for an (n - r) x (n - r)
-    determinant of an r x n configuration (n <= CONFIG_RESOLVE_MAX_N on
-    CLI inputs).
+    Two callers pass scalars: incidence.dual_config asks for an
+    (n - r) x (n - r) determinant of an r x n configuration
+    (n <= CONFIG_RESOLVE_MAX_N on CLI inputs), and config.psi_det for the
+    r x r pivot block det(A_P), once per psi.
 
     Entries run as integer coefficients (see _clearing) of packed
     monomials, one int per exponent vector with a field of `width` bits per

@@ -13,11 +13,12 @@ from .arith import (
     _promote_div,
     _residue,
     _rref,
+    matrix_rank,
     poly_lead_term,
 )
 from .config import (
     Configuration,
-    config_new,
+    _check_rank_and_columns,
     first_basis,
     lambda_system,
     psi_det,
@@ -93,12 +94,14 @@ def row_reduce_to_standard(c: Configuration):
     Columns are permuted so the lexicographically first basis leads, then the
     rows are fully reduced.  Returns (configuration, permutation); entry j of
     the permutation is the original 0-based column now in position j.
+    Row operations and a column permutation keep a configuration valid, so
+    the result is not checked again, and its minor table is built only if
+    something reads it.
     """
     pivots = first_basis(c)
     perm = list(pivots) + [j for j in range(c.n) if j not in pivots]
     reduced_rows, _ = _rref(c.a.column_submatrix(perm))
-    std = config_new(Matrix(reduced_rows, ncols=c.n))
-    return std, tuple(perm)
+    return Configuration(Matrix(reduced_rows, ncols=c.n)), tuple(perm)
 
 
 def _expected_lead(i: int, n: int, r: int):
@@ -138,11 +141,16 @@ def lead_term_certificate(c: Configuration) -> Certificate:
 
 
 def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
+    """c mod p.  The reduction can lose rank or zero a column, and is checked
+    for both as config_new would; the rank comes from elimination, not from a
+    minor table, which nothing mod p reads."""
     try:
         rows = [[Fp(_residue(x, p), p) for x in row] for row in c.a.rows]
     except ZeroDivisionError as exc:
         raise LeadTermFailure(str(exc)) from None
-    return config_new(Matrix(rows, ncols=c.n))
+    a = Matrix(rows, ncols=c.n)
+    _check_rank_and_columns(a, matrix_rank(a) == c.r)
+    return Configuration(a)
 
 
 def fedder_witness(c: Configuration, p: int) -> Certificate:

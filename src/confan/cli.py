@@ -97,11 +97,11 @@ def cmd_psi(args, cap):
     from .inputs import load_configuration
 
     c = load_configuration(args.input, args.format, cap)
-    psi = psi_basis_expansion(c)
+    # psi_det returns the basis expansion it has checked
+    psi = str(psi_det(c) if args.check_det else psi_basis_expansion(c))
     lines = ["psi = %s" % psi]
-    payload = {"psi": str(psi)}
+    payload = {"psi": psi}
     if args.check_det:
-        psi_det(c)
         lines.append("det check: pass")
         payload["det_check"] = "pass"
     return lines, payload, []

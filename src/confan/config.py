@@ -1,39 +1,27 @@
-"""Configurations: a full-row-rank exact matrix A, its polynomial det(A diag(x) A^T),
-the bilinear incidence equations, Jacobian ranks over strata, the coordinatewise
-square map, and the torus duality map.
+"""Configurations: a full-row-rank exact matrix A, its table of maximal
+minors, its polynomial psi = det(A diag(x) A^T) by two routes, and the
+bilinear incidence forms.  The incidence variety itself is confan.incidence.
 
-Conventions: A is r x n with 0 < r < n; matroid elements 1..n are the columns;
-w is a length-r vector in row-span coordinates, v = A^T w its ambient image,
-beta a length-n covector.
+Conventions: A is r x n with 0 < r < n; matroid elements 1..n are the columns.
 """
 
 from __future__ import annotations
 
-from enum import Enum
-from random import Random
 from typing import TYPE_CHECKING
 
 from .arith import (
-    Fp,
     Matrix,
     MultiPoly,
-    _promote_div,
+    _rref,
     det,
-    kernel_basis,
-    matrix_rank,
     maximal_minors,
-    solve_exact,
 )
 from .errors import (
     Degenerate,
     DisconnectedGraph,
     HasLoops,
     Mismatch,
-    NotConnected,
-    NotOnLambda,
     RankDeficient,
-    ZeroCoordinate,
-    ZeroVector,
 )
 
 # A configuration's matroid is built on first use, so the ψ and char-p
@@ -57,18 +45,25 @@ class Configuration:
 
     a       - arith.Matrix, r x n, full row rank
     r, n    - shape
-    minors  - {column mask: det(A_B)} over the bases B (arith.maximal_minors)
+    minors  - {column mask: det(A_B)} over the bases B (arith.maximal_minors),
+              built on first read and kept
     matroid - column matroid of a, read from minors on first use and kept
     """
 
-    __slots__ = ("a", "r", "n", "minors", "_matroid")
+    __slots__ = ("a", "r", "n", "_minors", "_matroid")
 
-    def __init__(self, a: Matrix, minors: dict):
+    def __init__(self, a: Matrix):
         self.a = a
         self.r = a.nrows
         self.n = a.ncols
-        self.minors = minors
+        self._minors = None
         self._matroid = None
+
+    @property
+    def minors(self) -> dict:
+        if self._minors is None:
+            self._minors = maximal_minors(self.a)
+        return self._minors
 
     @property
     def matroid(self) -> Matroid:
@@ -82,44 +77,25 @@ class Configuration:
         return "Configuration(r=%d, n=%d)" % (self.r, self.n)
 
 
-class Point:
-    """
-    Point data for the incidence equations.
-
-    w    - length-r vector in row-span coordinates (optional)
-    v    - length-n ambient vector, v = A^T w (optional)
-    beta - length-n covector (optional)
-    """
-
-    __slots__ = ("w", "v", "beta")
-
-    def __init__(self, w=None, v=None, beta=None):
-        self.w = None if w is None else list(w)
-        self.v = None if v is None else list(v)
-        self.beta = None if beta is None else list(beta)
-
-    def __repr__(self):
-        return "Point(w=%r, v=%r, beta=%r)" % (self.w, self.v, self.beta)
-
-
-class XRankClass(Enum):
-    OFF_X = "OffX"
-    SMOOTH = "Smooth"
-    SINGULAR_ON_X = "SingularOnX"
-
-
 def config_new(a: Matrix) -> Configuration:
-    """Validate a matrix as a configuration and attach its maximal minors."""
+    """Validate a matrix as a configuration and attach its maximal minors:
+    the table is empty exactly when the rank is below r."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
-    minors = maximal_minors(a)
-    if not minors:
-        raise RankDeficient("row rank below %d" % r)
-    for j in range(n):
-        if all(not a[i, j] for i in range(r)):
+    c = Configuration(a)
+    _check_rank_and_columns(a, bool(c.minors))
+    return c
+
+
+def _check_rank_and_columns(a: Matrix, full_rank: bool):
+    """The checks of config_new after the shape: RankDeficient unless
+    full_rank, then HasLoops on the first zero column."""
+    if not full_rank:
+        raise RankDeficient("row rank below %d" % a.nrows)
+    for j in range(a.ncols):
+        if all(not a[i, j] for i in range(a.nrows)):
             raise HasLoops("column %d is zero (a loop)" % (j + 1))
-    return Configuration(a, minors)
 
 
 def config_from_graph(edges) -> Configuration:
@@ -180,14 +156,27 @@ def psi_basis_expansion(c: Configuration) -> MultiPoly:
 
 
 def psi_det(c: Configuration) -> MultiPoly:
-    """Symbolic determinant of A diag(x) A^T; cross-checked against the basis
-    expansion.  The determinant route reads only q_w_matrix, never the minor
-    table, so the two routes read independent data; both run the one Laplace
-    kernel of arith, which the tests check against a permutation expansion."""
-    p = det(q_w_matrix(c))
-    if p != psi_basis_expansion(c):
+    """psi by the basis expansion, returned once a symbolic determinant that
+    never reads the minor table agrees with it; Mismatch otherwise.
+
+    The determinant route factors A = A_P R, with R the reduced row echelon
+    form of A and A_P the block of A on R's pivot columns, so that
+    psi = det(A_P)^2 det(R diag(x) R^T).  Column p of R is a unit vector for
+    a pivot p, so x_p appears in R diag(x) R^T only on the diagonal entry of
+    its row: each entry has at most n - r + 1 terms, against n in
+    A diag(x) A^T, and the Laplace levels shrink.  Both routes run the one
+    Laplace kernel of arith, which the tests check against a permutation
+    expansion.
+    """
+    rows, pivots = _rref(c.a)
+    scale = det(c.a.column_submatrix(pivots))
+    # the rows have the matroid of A: a configuration, whose minor table is
+    # not built
+    reduced = Configuration(Matrix(rows, ncols=c.n))
+    psi = psi_basis_expansion(c)
+    if det(q_w_matrix(reduced)) * (scale * scale) != psi:
         raise Mismatch("determinant route disagrees with the basis expansion")
-    return p
+    return psi
 
 
 def lambda_system(c: Configuration) -> tuple:
@@ -208,243 +197,3 @@ def lambda_system(c: Configuration) -> tuple:
                     terms[mono] = terms.get(mono, 0) + coeff
         qs.append(MultiPoly(variables, terms))
     return tuple(qs)
-
-
-def _zero_mask(vec) -> int:
-    mask = 0
-    for i, x in enumerate(vec):
-        if not x:
-            mask |= 1 << i
-    return mask
-
-
-def ambient_vector(c: Configuration, p: Point):
-    """v = A^T w; computed from w, or validated from p.v (must lie in the row span)."""
-    if p.w is not None:
-        return c.a.transpose().apply(p.w)
-    span_coordinates(c, p)
-    return list(p.v)
-
-
-def span_coordinates(c: Configuration, p: Point):
-    """w with A^T w = v; the given w when present."""
-    if p.w is not None:
-        return list(p.w)
-    if p.v is None:
-        raise ValueError("point carries neither w nor v")
-    w = solve_exact(c.a.transpose(), p.v)
-    if w is None or c.a.transpose().apply(w) != list(p.v):
-        raise NotOnLambda("v is not in the row span of the configuration")
-    return w
-
-
-def _incidence_residual(c: Configuration, p: Point):
-    if p.beta is None:
-        raise ValueError("point carries no beta")
-    v = ambient_vector(c, p)
-    scaled = [b * x for b, x in zip(p.beta, v)]
-    return c.a.apply(scaled)
-
-
-def on_lambda(c: Configuration, p: Point) -> bool:
-    """Whether A diag(beta) A^T w vanishes."""
-    return all(not entry for entry in _incidence_residual(c, p))
-
-
-def _gram(c: Configuration, beta) -> list:
-    """The rows of the r x r matrix A diag(beta) A^T."""
-    return [
-        [sum(c.a[i, k] * beta[k] * c.a[j, k] for k in range(c.n)) for j in range(c.r)]
-        for i in range(c.r)
-    ]
-
-
-def jacobian_rank(c: Configuration, p: Point) -> int:
-    """Exact rank of the r x (r+n) matrix (A diag(beta) A^T | A diag(A^T w))."""
-    if p.beta is None:
-        raise ValueError("point carries no beta")
-    v = ambient_vector(c, p)
-    rows = [
-        left + [c.a[i, k] * v[k] for k in range(c.n)]
-        for i, left in enumerate(_gram(c, p.beta))
-    ]
-    return matrix_rank(Matrix(rows, ncols=c.r + c.n))
-
-
-def x_rank_class(c: Configuration, beta) -> XRankClass:
-    """Classify beta by the rank of A diag(beta) A^T."""
-    if all(not b for b in beta):
-        raise ZeroVector("beta must be nonzero")
-    rk = matrix_rank(Matrix(_gram(c, beta), ncols=c.r))
-    if rk == c.r:
-        return XRankClass.OFF_X
-    if rk == c.r - 1:
-        return XRankClass.SMOOTH
-    return XRankClass.SINGULAR_ON_X
-
-
-def nonround_flats(c: Configuration):
-    """Proper flats F with rank(E minus F) below the rank; empty exactly when round."""
-    from .matroid import is_connected, roundness_witnesses
-
-    if not is_connected(c.matroid):
-        raise NotConnected("stratum analysis needs a connected matroid")
-    return roundness_witnesses(c.matroid)
-
-
-def hadamard_square(c: Configuration, w):
-    """Coordinatewise square of A^T w."""
-    if all(not x for x in w):
-        raise ZeroVector("w must be nonzero")
-    v = c.a.transpose().apply(w)
-    return [x * x for x in v]
-
-
-def dual_config(c: Configuration) -> Configuration:
-    """A configuration whose rows span the kernel of a.
-
-    The first kernel row is rescaled so that every maximal minor of the dual
-    matches the complementary minor of a up to sign; this makes the polynomial
-    identity psi_W(beta) = psi_dual(1/beta) * prod(beta) hold on the nose.
-    """
-    c0 = kernel_basis(c.a)
-    first = first_basis(c)
-    complement = [j for j in range(c.n) if j not in first]
-    d_primal = c.minors[sum(1 << j for j in first)]
-    d_dual = det(c0.column_submatrix(complement))
-    scale = _promote_div(d_primal, d_dual)
-    rows = [list(row) for row in c0.rows]
-    rows[0] = [x * scale for x in rows[0]]
-    return config_new(Matrix(rows, ncols=c.n))
-
-
-def duality_map(c: Configuration, p: Point) -> Point:
-    """(v, beta) -> (beta v coordinatewise, 1/beta); lands on the dual incidence variety."""
-    if p.beta is None or any(not b for b in p.beta):
-        raise ZeroCoordinate("duality needs all beta coordinates nonzero")
-    v = ambient_vector(c, p)
-    if not on_lambda(c, p):
-        raise NotOnLambda("point does not satisfy the incidence equations")
-    image_v = [b * x for b, x in zip(p.beta, v)]
-    image_beta = [_promote_div(1, b) for b in p.beta]
-    return Point(v=image_v, beta=image_beta)
-
-
-def iota_differential_check(c: Configuration, w, beta) -> bool:
-    """Differential identity for the coordinatewise square map, checked symbolically.
-
-    The quadric sum g(z) = sum_j beta_j l_j(z)^2 is differentiated as a
-    polynomial; each partial at w must equal twice the incidence pairing.
-    """
-    if any(isinstance(x, Fp) and x.p == 2 for row in c.a.rows for x in row):
-        raise Degenerate("identity needs characteristic different from 2")
-    zvars = tuple("z%d" % (i + 1) for i in range(c.r))
-    g = MultiPoly.zero(zvars)
-    for j in range(c.n):
-        lin = MultiPoly(
-            zvars,
-            {
-                tuple(1 if t == k else 0 for t in range(c.r)): c.a[k, j]
-                for k in range(c.r)
-                if c.a[k, j]
-            },
-        )
-        g = g + lin * lin * beta[j]
-    v = c.a.transpose().apply(w)
-    pairing = c.a.apply([b * x for b, x in zip(beta, v)])
-    for i in range(c.r):
-        left = g.diff(i).evaluate(w)
-        if left != 2 * pairing[i]:
-            return False
-    return True
-
-
-# ---------------------------------------------------------------------------
-# witness construction and seeded sampling
-# ---------------------------------------------------------------------------
-
-
-def _random_combination(rows, rng: Random):
-    ncols = len(rows[0]) if rows else 0
-    out = [0] * ncols
-    for row in rows:
-        coeff = rng.randint(-9, 9)
-        out = [acc + coeff * x for acc, x in zip(out, row)]
-    return out
-
-
-def stratum_kernel(c: Configuration, flat: int) -> Matrix:
-    """Basis of the w-space orthogonal to the columns in the flat."""
-    cols = [j for j in range(c.n) if flat >> j & 1]
-    return kernel_basis(c.a.column_submatrix(cols).transpose())
-
-
-def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
-    """A point over the flat's stratum where the Jacobian drops rank.
-
-    Requires rank(E minus flat) < r.  beta is the indicator of the first
-    j in the flat with rank({j} union complement) = rank(complement).
-    """
-    from .matroid import elements_of, rank_of
-
-    m = c.matroid
-    full = m.ground
-    outside = full & ~flat
-    rk_out = rank_of(m, outside)
-    if rk_out >= m.r:
-        raise ValueError("flat is not rank-deficient on its complement")
-    j = next(
-        e for e in elements_of(flat) if rank_of(m, outside | (1 << (e - 1))) == rk_out
-    )
-    kernel = stratum_kernel(c, flat)
-    rng = Random(seed)
-    for _ in range(1000):
-        w = (
-            list(kernel.rows[0])
-            if kernel.nrows == 1
-            else _random_combination(list(kernel.rows), rng)
-        )
-        v = c.a.transpose().apply(w)
-        if _zero_mask(v) == flat:
-            beta = [0] * c.n
-            beta[j - 1] = 1
-            return Point(w=w, v=v, beta=beta)
-    raise ValueError("could not hit the open stratum; flat may be misidentified")
-
-
-def sample_stratum_point(c: Configuration, flat: int, rng: Random) -> Point:
-    """Seeded point of the incidence variety lying over the given flat's stratum."""
-    kernel = stratum_kernel(c, flat)
-    if kernel.nrows == 0:
-        raise ValueError("stratum is empty: no w vanishes exactly on the flat")
-    for _ in range(1000):
-        w = _random_combination(list(kernel.rows), rng)
-        v = c.a.transpose().apply(w)
-        if _zero_mask(v) != flat:
-            continue
-        scaled_rows = [
-            [c.a[i, k] * v[k] for k in range(c.n)] for i in range(c.r)
-        ]
-        beta_space = kernel_basis(Matrix(scaled_rows, ncols=c.n))
-        for _ in range(1000):
-            beta = _random_combination(list(beta_space.rows), rng)
-            if any(beta):
-                return Point(w=w, v=v, beta=beta)
-    raise ValueError("sampling failed to hit the stratum")
-
-
-def sample_torus_point(c: Configuration, rng: Random) -> Point:
-    """Seeded incidence point with every coordinate of v and beta nonzero."""
-    c0 = kernel_basis(c.a)
-    for _ in range(1000):
-        z = [rng.randint(-9, 9) for _ in range(c.r)]
-        v = c.a.transpose().apply(z)
-        if not all(v):
-            continue
-        for _ in range(1000):
-            zp = [rng.randint(-9, 9) for _ in range(c0.nrows)]
-            gamma = c0.transpose().apply(zp)
-            if all(gamma):
-                beta = [_promote_div(g, x) for g, x in zip(gamma, v)]
-                return Point(w=z, v=v, beta=beta)
-    raise ValueError("sampling failed to find a torus point")

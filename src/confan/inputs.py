@@ -1,5 +1,4 @@
-"""Input parsing: matrix JSON, edge-list graph files, basis-list JSON, and the
-polynomial reader used for round-trip checks.
+"""Input parsing: matrix JSON, edge-list graph files and basis-list JSON.
 
 Formats:
   *.graph       one edge per line, "u v"; '#' starts a comment
@@ -19,7 +18,7 @@ from .errors import ParseError
 # configurations never need a matroid: each route imports arith, config,
 # fractions or matroid itself.
 if TYPE_CHECKING:
-    from .arith import Matrix, MultiPoly
+    from .arith import Matrix
     from .config import Configuration
     from .matroid import Matroid
 
@@ -61,14 +60,6 @@ def matrix_from_json(data) -> Matrix:
         raise ParseError("ragged matrix rows")
     parsed = [[parse_scalar(x, field, p) for x in row] for row in rows]
     return Matrix(parsed, ncols=widths.pop())
-
-
-def matrix_to_json(m: Matrix, field: str = "Q", p: int | None = None) -> dict:
-    out = {"rows": [[str(x) for x in row] for row in m.rows]}
-    if field != "Q":
-        out["field"] = field
-        out["p"] = p
-    return out
 
 
 def parse_graph_text(text: str):
@@ -177,66 +168,3 @@ def _check_cap(n: int, max_n: int | None):
         raise ParseError(
             "ground set size %d exceeds the cap %d (CONFIG_RESOLVE_MAX_N)" % (n, max_n)
         )
-
-
-def parse_poly(text: str, variables) -> MultiPoly:
-    """Inverse of the polynomial printer, over the rationals."""
-    from fractions import Fraction
-
-    from .arith import MultiPoly
-
-    variables = tuple(variables)
-    index = {v: i for i, v in enumerate(variables)}
-    text = text.strip().replace(" ", "")
-    if not text:
-        raise ParseError("empty polynomial string")
-    if text == "0":
-        return MultiPoly.zero(variables)
-    terms: dict = {}
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    chunk = []
-    chunks = []
-    while pos <= len(text):
-        if pos == len(text) or text[pos] in "+-":
-            chunks.append((sign, "".join(chunk)))
-            if pos < len(text):
-                sign = -1 if text[pos] == "-" else 1
-                chunk = []
-            pos += 1
-        else:
-            chunk.append(text[pos])
-            pos += 1
-    for sgn, body in chunks:
-        if not body:
-            raise ParseError("empty term in %r" % text)
-        mono = [0] * len(variables)
-        coeff = Fraction(1)
-        for factor in body.split("*"):
-            if not factor:
-                raise ParseError("empty factor in %r" % body)
-            if factor[0].isdigit():
-                try:
-                    coeff *= Fraction(factor)
-                except ValueError:
-                    raise ParseError("bad coefficient %r" % factor) from None
-                continue
-            name, _, exp = factor.partition("^")
-            if name not in index:
-                raise ParseError("unknown variable %r" % name)
-            e = 1
-            if exp:
-                try:
-                    e = int(exp)
-                except ValueError:
-                    raise ParseError("bad exponent %r" % exp) from None
-                if e < 0:
-                    raise ParseError("negative exponent %r" % factor)
-            mono[index[name]] += e
-        co = coeff * sgn
-        key = tuple(mono)
-        terms[key] = terms.get(key, 0) + (int(co) if co.denominator == 1 else co)
-    return MultiPoly(variables, terms)

@@ -454,3 +454,91 @@ def refines(fine, coarse):
             if cnt != (1 if on_boundary else 2):
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Code the package does not run, kept for the tests: the determinant of
+# A diag(x) A^T on A itself checks psi_det's route over the row-reduced
+# matrix, and two round trips, the polynomial reader that of the printer and
+# the matrix writer that of the matrix reader.
+# ---------------------------------------------------------------------------
+
+
+def psi_by_det(c):
+    """psi of a configuration as det(A diag(x) A^T) on A itself."""
+    from confan.arith import det
+    from confan.config import q_w_matrix
+
+    return det(q_w_matrix(c))
+
+
+def matrix_to_json(m, field="Q", p=None):
+    """The matrix JSON that confan.inputs.matrix_from_json reads back."""
+    out = {"rows": [[str(x) for x in row] for row in m.rows]}
+    if field != "Q":
+        out["field"] = field
+        out["p"] = p
+    return out
+
+
+def parse_poly(text, variables):
+    """Inverse of the polynomial printer (MultiPoly.__str__), over the
+    rationals; ParseError on malformed text."""
+    from confan.arith import MultiPoly
+    from confan.errors import ParseError
+
+    variables = tuple(variables)
+    index = {v: i for i, v in enumerate(variables)}
+    text = text.strip().replace(" ", "")
+    if not text:
+        raise ParseError("empty polynomial string")
+    if text == "0":
+        return MultiPoly.zero(variables)
+    terms: dict = {}
+    pos = 0
+    sign = 1
+    if text[0] in "+-":
+        sign = -1 if text[0] == "-" else 1
+        pos = 1
+    chunk = []
+    chunks = []
+    while pos <= len(text):
+        if pos == len(text) or text[pos] in "+-":
+            chunks.append((sign, "".join(chunk)))
+            if pos < len(text):
+                sign = -1 if text[pos] == "-" else 1
+                chunk = []
+            pos += 1
+        else:
+            chunk.append(text[pos])
+            pos += 1
+    for sgn, body in chunks:
+        if not body:
+            raise ParseError("empty term in %r" % text)
+        mono = [0] * len(variables)
+        coeff = Fraction(1)
+        for factor in body.split("*"):
+            if not factor:
+                raise ParseError("empty factor in %r" % body)
+            if factor[0].isdigit():
+                try:
+                    coeff *= Fraction(factor)
+                except ValueError:
+                    raise ParseError("bad coefficient %r" % factor) from None
+                continue
+            name, _, exp = factor.partition("^")
+            if name not in index:
+                raise ParseError("unknown variable %r" % name)
+            e = 1
+            if exp:
+                try:
+                    e = int(exp)
+                except ValueError:
+                    raise ParseError("bad exponent %r" % exp) from None
+                if e < 0:
+                    raise ParseError("negative exponent %r" % factor)
+            mono[index[name]] += e
+        co = coeff * sgn
+        key = tuple(mono)
+        terms[key] = terms.get(key, 0) + (int(co) if co.denominator == 1 else co)
+    return MultiPoly(variables, terms)

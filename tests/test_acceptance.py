@@ -26,16 +26,8 @@ from confan.classes import (
 from confan.config import (
     config_from_graph,
     config_new,
-    dual_config,
-    duality_map,
-    jacobian_rank,
-    nonround_flats,
-    on_lambda,
     psi_basis_expansion,
     psi_det,
-    sample_stratum_point,
-    sample_torus_point,
-    singular_witness,
 )
 from confan.fans import (
     biflat_label,
@@ -47,6 +39,16 @@ from confan.fans import (
     parse_biflat_label,
     refines,
     square_conormal_fan,
+)
+from confan.incidence import (
+    dual_config,
+    duality_map,
+    jacobian_rank,
+    nonround_flats,
+    on_lambda,
+    sample_stratum_point,
+    sample_torus_point,
+    singular_witness,
 )
 from confan.matroid import (
     ClassPoly,

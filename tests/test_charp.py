@@ -17,7 +17,7 @@ from confan.charp import (
     spair_reduction_check,
 )
 from confan.config import config_new, lambda_system, psi_basis_expansion
-from confan.errors import LeadTermFailure
+from confan.errors import LeadTermFailure, RankDeficient
 
 from .conftest import random_config
 
@@ -140,6 +140,13 @@ class TestFedder:
         assert cert.data["leads"] == initial.data["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
         std, _ = row_reduce_to_standard(shuffled)
         assert fedder_witness(std, 3).verdict == "pass"
+
+    def test_rank_drop_mod_p_raises(self):
+        # the rows agree mod 3, and the rank check comes before column 3,
+        # which vanishes too
+        c = config_new(Matrix(((1, 1, 0), (1, 4, 3))))
+        with pytest.raises(RankDeficient, match="^row rank below 2$"):
+            fedder_witness(c, 3)
 
     def test_rejects_composite(self, square_chord_config):
         with pytest.raises(ValueError):

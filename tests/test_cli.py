@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import confan.arith
 import confan.charp
 import confan.config
 import confan.fans
@@ -363,6 +364,31 @@ class TestCharp:
         matrix = str(data_dir / "square_chord.mat.json")
         assert run_cli(capsys, "psi", matrix, "--check-det")[0] == 0
         assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
+
+    def test_one_minor_table_per_run(self, capsys, data_dir, monkeypatch):
+        # the input's table, from config_new; the standard form and its
+        # reduction mod p are checked without one
+        calls = []
+        real = confan.arith.maximal_minors
+
+        def counted(a):
+            calls.append(a)
+            return real(a)
+
+        for module in (confan.arith, confan.config):
+            monkeypatch.setattr(module, "maximal_minors", counted)
+        matrix = str(data_dir / "square_chord.mat.json")
+        assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
+        assert len(calls) == 1
+        assert run_cli(capsys, "psi", matrix, "--check-det")[0] == 0
+        assert len(calls) == 2
+
+    def test_standard_form_with_a_zero_column_mod_p_exits_1(self, capsys, tmp_path):
+        path = tmp_path / "loop7.json"
+        path.write_text(json.dumps({"rows": [["1", "0", "7", "1"], ["0", "1", "0", "1"]]}))
+        assert run_cli(capsys, "charp", str(path), "--p", "7") == (
+            1, "", "error: column 3 is zero (a loop)\n"
+        )
 
     def test_square_chord_p2_strict(self, capsys, data_dir):
         code, out, _ = run_cli(

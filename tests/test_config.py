@@ -3,33 +3,20 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from confan.arith import Fp, Matrix, MultiPoly, det, matrix_rank
+import confan.config
+from confan.arith import Fp, Matrix, MultiPoly, det, matrix_rank, maximal_minors
 from confan.config import (
-    Point,
-    XRankClass,
-    ambient_vector,
+    Configuration,
     config_from_graph,
     config_new,
-    dual_config,
-    duality_map,
     first_basis,
-    hadamard_square,
-    iota_differential_check,
-    jacobian_rank,
     lambda_system,
-    nonround_flats,
-    on_lambda,
     psi_basis_expansion,
     psi_det,
     q_w_matrix,
-    sample_stratum_point,
-    sample_torus_point,
-    singular_witness,
-    span_coordinates,
-    x_rank_class,
 )
 from confan.errors import (
     Degenerate,
@@ -40,6 +27,23 @@ from confan.errors import (
     RankDeficient,
     ZeroCoordinate,
 )
+from confan.incidence import (
+    Point,
+    XRankClass,
+    ambient_vector,
+    dual_config,
+    duality_map,
+    hadamard_square,
+    iota_differential_check,
+    jacobian_rank,
+    nonround_flats,
+    on_lambda,
+    sample_stratum_point,
+    sample_torus_point,
+    singular_witness,
+    span_coordinates,
+    x_rank_class,
+)
 from confan.matroid import (
     elements_of,
     mask_of,
@@ -49,7 +53,7 @@ from confan.matroid import (
 )
 
 from .conftest import random_config
-from .oracles import naive_det, spanning_tree_count
+from .oracles import naive_det, psi_by_det, spanning_tree_count
 
 
 class TestConstruction:
@@ -80,6 +84,12 @@ class TestConstruction:
         for mask, minor in c.minors.items():
             cols = [e - 1 for e in elements_of(mask)]
             assert minor == naive_det([[row[j] for j in cols] for row in c.a.rows])
+
+    def test_minor_table_is_built_on_first_read(self, square_chord_matrix):
+        c = Configuration(square_chord_matrix)
+        table = c.minors
+        assert table == maximal_minors(square_chord_matrix)
+        assert c.minors is table
 
     def test_matroid_is_built_once_from_the_minors(self, rng):
         for _ in range(20):
@@ -149,11 +159,53 @@ class TestPsi:
         psi = psi_basis_expansion(config_new(Matrix(rows)))
         c = config_new(Matrix(rows))
         c.minors[min(c.minors)] *= 2
-        # the determinant route still gives the untampered psi, so the
-        # cross-check fails: its pass is earned
-        assert det(q_w_matrix(c)) == psi
+        # the determinant still gives the untampered psi, so the cross-check
+        # fails: its pass is earned
+        assert psi_by_det(c) == psi
         with pytest.raises(Mismatch):
             psi_det(c)
+
+    @pytest.mark.parametrize("field", [None, 7])
+    def test_pivot_block_factor_is_checked(self, field, monkeypatch):
+        # det(A_P) = 2 on the pivot columns 1 and 3: without the factor
+        # det(A_P)^2 the determinant route gives psi / 4
+        rows = ((2, 4, 0, 1), (0, 0, 1, 1))
+        if field:
+            rows = tuple(tuple(Fp(x, field) for x in row) for row in rows)
+        c = config_new(Matrix(rows))
+        assert first_basis(c) == (0, 2)
+        assert psi_det(c) == psi_by_det(c)
+
+        def without_pivot_block(m):
+            return det(m) if isinstance(m[0, 0], MultiPoly) else 1
+
+        monkeypatch.setattr(confan.config, "det", without_pivot_block)
+        with pytest.raises(Mismatch):
+            psi_det(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.sampled_from([None, 7]))
+    def test_det_route_matches_the_direct_determinant(self, data, field):
+        # psi_det's determinant over the row-reduced matrix against the
+        # determinant of A diag(x) A^T on A itself, with pivots anywhere
+        r = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(r + 1, 6))
+        entries = st.sampled_from(
+            (-3, -2, -1, 0, 1, 2, 3) + (() if field else (Fraction(1, 2), Fraction(-3, 4)))
+        )
+        rows = [[data.draw(entries) for _ in range(n)] for _ in range(r)]
+        if data.draw(st.booleans()):
+            # column 2 a multiple of column 1: never a pivot
+            k = data.draw(st.sampled_from((-2, 1, 3)))
+            for row in rows:
+                row[1] = k * row[0]
+        if field:
+            rows = [[Fp(x, field) for x in row] for row in rows]
+        try:
+            c = config_new(Matrix(rows))
+        except (Degenerate, RankDeficient, HasLoops):
+            assume(False)
+        assert psi_det(c) == psi_by_det(c) == psi_basis_expansion(c)
 
     def test_fp_config_psi(self):
         c = config_new(

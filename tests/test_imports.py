@@ -21,20 +21,21 @@ PUBLIC = {
     "row_reduce_to_standard spair_reduction_check",
     "classes": "BettiTable BiDegree a_invariant chow_bidegree cohomology_basis "
     "motivic_class resolution_betti",
-    "config": "Configuration Point XRankClass config_from_graph config_new dual_config "
-    "duality_map hadamard_square iota_differential_check jacobian_rank lambda_system "
-    "nonround_flats on_lambda psi_basis_expansion psi_det q_w_matrix "
-    "sample_stratum_point sample_torus_point singular_witness x_rank_class",
+    "config": "Configuration config_from_graph config_new lambda_system "
+    "psi_basis_expansion psi_det q_w_matrix",
     "fans": "Fan LatticeVector bergman_fan delta_fan delta_tilde_fan "
     "divisor_incidence fan_from_json fan_to_json fibre_fan is_unimodular "
     "maps_into_coordinate_fan mu_apply refines square_biflats square_conormal_fan",
+    "incidence": "Point XRankClass dual_config duality_map hadamard_square "
+    "iota_differential_check jacobian_rank nonround_flats on_lambda "
+    "sample_stratum_point sample_torus_point singular_witness x_rank_class",
     "matroid": "Matroid char_poly closure contract delete dual flats is_connected is_round "
     "matroid_from_bases matroid_from_graph matroid_from_matrix rank_of "
     "reduced_char_poly uniform_matroid",
 }
 HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
 
-LAYERS = {"arith", "charp", "classes", "config", "fans", "inputs", "matroid"}
+LAYERS = {"arith", "charp", "classes", "config", "fans", "incidence", "inputs", "matroid"}
 
 
 def fresh(code, *argv):
@@ -127,7 +128,7 @@ class TestCommandImports:
     def test_psi_skips_fans_charp_classes(self, data):
         loaded = loaded_by("psi", str(DATA / data), "--check-det")
         assert "config" in loaded
-        assert not loaded & {"fans", "charp", "classes"}
+        assert not loaded & {"fans", "charp", "classes", "incidence"}
 
     @pytest.mark.parametrize("data", ["square_chord.graph", "square_chord.mat.json"])
     def test_fan_skips_charp_classes_config(self, data):
@@ -166,4 +167,4 @@ class TestCommandImports:
         command, *options = argv
         loaded = loaded_by(command, str(DATA / data), *options)
         assert {"arith", "config"} <= loaded
-        assert "matroid" not in loaded
+        assert not loaded & {"matroid", "incidence"}

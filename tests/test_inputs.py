@@ -13,11 +13,11 @@ from confan.inputs import (
     load_configuration,
     load_matroid,
     matrix_from_json,
-    matrix_to_json,
     parse_graph_text,
-    parse_poly,
     parse_scalar,
 )
+
+from .oracles import matrix_to_json, parse_poly
 
 
 class TestScalars:
