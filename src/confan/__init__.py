@@ -41,15 +41,15 @@ _EXPORTS = {
         "Fan",
         "LatticeVector",
         "bergman_fan",
+        "cones_off_coordinate_fan",
         "delta_fan",
         "delta_tilde_fan",
         "divisor_incidence",
         "fan_from_json",
         "fan_to_json",
         "fibre_fan",
-        "is_unimodular",
-        "maps_into_coordinate_fan",
         "mu_apply",
+        "non_unimodular_cones",
         "refines",
         "square_biflats",
         "square_conormal_fan",

@@ -12,14 +12,12 @@ from .arith import (
     _is_prime,
     _promote_div,
     _residue,
-    _rref,
     matrix_rank,
     poly_lead_term,
 )
 from .config import (
     Configuration,
     _check_rank_and_columns,
-    first_basis,
     lambda_system,
     psi_det,
     xu_variables,
@@ -91,17 +89,18 @@ def mono_str(mono, variables) -> str:
 def row_reduce_to_standard(c: Configuration):
     """Equivalent configuration with an identity block up front.
 
-    Columns are permuted so the lexicographically first basis leads, then the
-    rows are fully reduced.  Returns (configuration, permutation); entry j of
-    the permutation is the original 0-based column now in position j.
-    Row operations and a column permutation keep a configuration valid, so
-    the result is not checked again, and its minor table is built only if
-    something reads it.
+    Columns are permuted so the lexicographically first basis, the pivot
+    columns of c's echelon form, leads; that form with its columns so
+    permuted is reduced already.  Returns (configuration, permutation);
+    entry j of the permutation is the original 0-based column now in
+    position j.  Row operations and a column permutation keep a
+    configuration valid, so the result is not checked again, and its minor
+    table is built only if something reads it.
     """
-    pivots = first_basis(c)
+    rows, pivots = c.echelon
     perm = list(pivots) + [j for j in range(c.n) if j not in pivots]
-    reduced_rows, _ = _rref(c.a.column_submatrix(perm))
-    return Configuration(Matrix(reduced_rows, ncols=c.n)), tuple(perm)
+    std = Matrix([[row[j] for j in perm] for row in rows], ncols=c.n)
+    return Configuration(std), tuple(perm)
 
 
 def _expected_lead(i: int, n: int, r: int):

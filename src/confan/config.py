@@ -45,19 +45,29 @@ class Configuration:
 
     a       - arith.Matrix, r x n, full row rank
     r, n    - shape
+    echelon - (rows, pivot columns), as tuples, of the reduced row echelon
+              form of a (arith._rref), built on first read and kept
     minors  - {column mask: det(A_B)} over the bases B (arith.maximal_minors),
               built on first read and kept
     matroid - column matroid of a, read from minors on first use and kept
     """
 
-    __slots__ = ("a", "r", "n", "_minors", "_matroid")
+    __slots__ = ("a", "r", "n", "_echelon", "_minors", "_matroid")
 
     def __init__(self, a: Matrix):
         self.a = a
         self.r = a.nrows
         self.n = a.ncols
+        self._echelon = None
         self._minors = None
         self._matroid = None
+
+    @property
+    def echelon(self) -> tuple:
+        if self._echelon is None:
+            rows, pivots = _rref(self.a)
+            self._echelon = tuple(map(tuple, rows)), tuple(pivots)
+        return self._echelon
 
     @property
     def minors(self) -> dict:
@@ -78,13 +88,13 @@ class Configuration:
 
 
 def config_new(a: Matrix) -> Configuration:
-    """Validate a matrix as a configuration and attach its maximal minors:
-    the table is empty exactly when the rank is below r."""
+    """Validate a matrix as a configuration: the rank is the pivot count of
+    its echelon form, which the configuration keeps."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
     c = Configuration(a)
-    _check_rank_and_columns(a, bool(c.minors))
+    _check_rank_and_columns(a, len(c.echelon[1]) == r)
     return c
 
 
@@ -139,11 +149,7 @@ def q_w_matrix(c: Configuration) -> Matrix:
 def first_basis(c: Configuration) -> tuple:
     """The lexicographically first basis, as 0-based columns: the pivot
     columns of the row echelon form."""
-    # the pivot columns are the greedy basis, which has the least weight
-    # among the bases for any weights rising with the column, 2^j too: the
-    # least mask
-    first = min(c.minors)
-    return tuple(j for j in range(c.n) if first >> j & 1)
+    return c.echelon[1]
 
 
 def psi_basis_expansion(c: Configuration) -> MultiPoly:
@@ -168,7 +174,7 @@ def psi_det(c: Configuration) -> MultiPoly:
     Laplace kernel of arith, which the tests check against a permutation
     expansion.
     """
-    rows, pivots = _rref(c.a)
+    rows, pivots = c.echelon
     scale = det(c.a.column_submatrix(pivots))
     # the rows have the matroid of A: a configuration, whose minor table is
     # not built

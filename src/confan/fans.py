@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections import Counter
 from copy import copy
+from itertools import chain, combinations
 
 from .errors import (
     HasLoops,
@@ -110,11 +111,17 @@ def mu_apply(v: LatticeVector, direction: str) -> LatticeVector:
     raise ValueError("direction must be 'forward' or 'minus'")
 
 
-def _faces(cone):
-    """Every face of a simplicial cone: all subsets of its ray indices."""
-    out = [frozenset()]
-    for i in cone:
-        out += [f | {i} for f in out]
+def _faces(members):
+    """Every face of a simplicial cone given by its sorted ray indices: all
+    subsequences, each a sorted tuple."""
+    return chain.from_iterable(combinations(members, k) for k in range(len(members) + 1))
+
+
+def _face_tuples(fan):
+    """Every cone of the fan, the origin included, as sorted tuples."""
+    out = set()
+    for c in fan.maximal:
+        out.update(_faces(sorted(c)))
     return out
 
 
@@ -147,7 +154,7 @@ class Fan:
     @property
     def cones(self):
         """Every cone of the fan, the origin included."""
-        return frozenset(f for c in self.maximal for f in _faces(c))
+        return frozenset(map(frozenset, _face_tuples(self)))
 
     def __eq__(self, other):
         if not isinstance(other, Fan):
@@ -187,21 +194,19 @@ class Fan:
 # ---------------------------------------------------------------------------
 
 
-def _chains(items, below, admissible=lambda chain: True):
-    """All admissible chains in a finite poset, as index tuples in decreasing
-    order, the empty chain included.
+def _chains(lower, admissible=lambda chain: True):
+    """All admissible chains in a finite poset on the indices 0..k-1, as index
+    tuples in decreasing order, the empty chain included.
 
-    items is a sequence; below(a, b) means a is strictly below b.  Every
-    subchain of an admissible chain must be admissible (a fan's cones are
-    closed under faces), so the search stops at the first rejected chain.
+    lower[j] lists the indices strictly below j.  Every subchain of an
+    admissible chain must be admissible (a fan's cones are closed under
+    faces), so the search stops at the first rejected chain.
     """
-    n = len(items)
-    lower = [[i for i in range(n) if below(items[i], items[j])] for j in range(n)]
     stack = [()]
     while stack:
         chain = stack.pop()
         yield chain
-        for i in lower[chain[-1]] if chain else range(n):
+        for i in lower[chain[-1]] if chain else range(len(lower)):
             longer = chain + (i,)
             if admissible(longer):
                 stack.append(longer)
@@ -225,8 +230,8 @@ def _bergman_flags(m: Matroid):
     if loops_of(m):
         raise HasLoops("matroid has loops")
     props = [f for f in flats(m) if f not in (0, m.ground)]
-    chains = _chains(props, lambda a, b: a != b and a & b == a)
-    return props, _maximal_chains(chains)
+    lower = [[i for i, a in enumerate(props) if a != b and a & b == a] for b in props]
+    return props, _maximal_chains(_chains(lower))
 
 
 def bergman_fan(m: Matroid) -> Fan:
@@ -266,6 +271,23 @@ def _within(a, b):
     return a[0] & b[0] == a[0] and a[1] & b[1] == a[1]
 
 
+def _biflag_order(pairs):
+    """lower[j]: the indices, ascending, of the distinct biflats within
+    biflat j (_within).  Grouping the biflats by F first, each biflat scans
+    only the groups whose F lies in its own."""
+    by_f = {}
+    for i, (f, _) in enumerate(pairs):
+        by_f.setdefault(f, []).append(i)
+    return [
+        sorted(
+            i
+            for f, group in by_f.items() if f & f2 == f
+            for i in group if i != j and pairs[i][1] & g2 == pairs[i][1]
+        )
+        for j, (f2, g2) in enumerate(pairs)
+    ]
+
+
 def _proper_union(chain, diffs, full) -> bool:
     """Whether the union of diffs[i] over i in chain leaves an element of
     full out; diffs[i] is the mask G minus F of the i-th biflat."""
@@ -284,11 +306,7 @@ def _biflag_fan(m: Matroid, pairs) -> Fan:
     rays = [biflat_ray(f, g, n) for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
     diffs = [g & ~f for f, g in pairs]
-    cones = _chains(
-        pairs,
-        lambda a, b: a != b and _within(a, b),
-        lambda chain: _proper_union(chain, diffs, full),
-    )
+    cones = _chains(_biflag_order(pairs), lambda chain: _proper_union(chain, diffs, full))
     return Fan(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
 
 
@@ -328,34 +346,77 @@ def delta_fan(m: Matroid) -> Fan:
 # ---------------------------------------------------------------------------
 
 
-def is_unimodular(fan: Fan, cone) -> bool:
-    """Generators are independent and extend to a basis of the lattice:
-    the gcd of all maximal minors of the coordinate matrix is 1."""
-    f = fan.factor(cone)
-    return f.rank == len(cone) and f.index == 1
+def non_unimodular_cones(fan: Fan):
+    """The maximal cones, in fan.maximal order, whose generators are not
+    independent or do not extend to a basis of the lattice: those where the
+    gcd of the k x k minors of the k x (2n-2) coordinate matrix is not 1.
+
+    Each cone's rows are reduced in order against the pivot rows above them
+    and pivoted on an entry of +-1.  These are row operations, which keep
+    every k x k minor, and the reduced rows are zero on the pivot columns
+    above them, so once every row has a unit pivot the minor on the pivot
+    columns is +-1: a witness that the cone is unimodular.  A row that
+    reduces to zero makes the cone rank-deficient.  A cone whose next row
+    has no entry +-1 is decided by hermite.factor_rows on its rows.
+
+    A pivot row depends only on the rays up to its own, and fan.maximal is
+    sorted by sorted members, so one stack of (ray, pivot column, row)
+    serves each cone's leading rays shared with the cone before it.
+    """
+    coords = [v.coords() for v in fan.rays]
+    stack = []
+    bad = []
+    for cone in fan.maximal:
+        members = sorted(cone)
+        depth = 0
+        while depth < min(len(stack), len(members)) and stack[depth][0] == members[depth]:
+            depth += 1
+        del stack[depth:]
+        for i in members[depth:]:
+            row = coords[i]
+            for _, col, pivot_row in stack:
+                x = row[col]
+                if x:
+                    row = [a - x * b for a, b in zip(row, pivot_row)]
+            if -1 in row and 1 not in row:
+                row = [-x for x in row]
+            if 1 not in row:
+                f = factor_rows([coords[j] for j in members]) if any(row) else None
+                if f is None or f.rank < len(members) or f.index != 1:
+                    bad.append(cone)
+                break
+            stack.append((i, row.index(1), row))
+    return bad
 
 
-def maps_into_coordinate_fan(fan: Fan, cone, block: str, sign: str) -> bool:
-    """Whether the projected cone lands in one cone of the coordinate fan.
+def cones_off_coordinate_fan(fan: Fan, block: str, sign: str):
+    """The maximal cones, in fan.maximal order, whose projection lands in no
+    cone of the coordinate fan.
 
-    Project each generator to the chosen block, apply the sign, and intersect
-    the argmin sets, as bitmasks; nonempty intersection means a common
-    minimizing coordinate, and the min inequalities survive nonnegative
-    combinations.  The argmin of the negated block is the argmax of the block.
+    Project each ray to the chosen block, apply the sign, and take its
+    argmin set as a bitmask, once per ray; a cone lands in a cone of the
+    coordinate fan when the masks of its rays meet, a common minimizing
+    coordinate, since the min inequalities survive nonnegative
+    combinations.  The argmin of the negated block is the argmax of the
+    block.
     """
     if block not in ("first", "second"):
         raise ValueError("block must be 'first' or 'second'")
     if sign not in ("plus", "minus"):
         raise ValueError("sign must be 'plus' or 'minus'")
-    common = -1  # every coordinate
-    for i in cone:
-        v = fan.rays[i]
+    masks = []
+    for v in fan.rays:
         proj = v.e if block == "first" else v.f
         lo = min(proj) if sign == "plus" else max(proj)
-        common &= sum(1 << j for j, x in enumerate(proj) if x == lo)
+        masks.append(sum(1 << j for j, x in enumerate(proj) if x == lo))
+    bad = []
+    for cone in fan.maximal:
+        common = -1  # every coordinate
+        for i in cone:
+            common &= masks[i]
         if not common:
-            return False
-    return True
+            bad.append(cone)
+    return bad
 
 
 def refines(m: Matroid, fine: Fan):
@@ -495,15 +556,19 @@ def minus_shear(fan: Fan) -> Fan:
 
 def fan_to_json(fan: Fan) -> dict:
     """Plain-dict form: rays with both blocks, every cone, maximal-first."""
-    maxes = set(fan.maximal)
-    ordered = sorted(fan.cones, key=lambda c: (c not in maxes, -len(c), sorted(c)))
+    def largest_first(c):
+        return -len(c), c
+
+    maxes = {tuple(sorted(c)) for c in fan.maximal}
+    faces = _face_tuples(fan) - maxes
+    ordered = sorted(maxes, key=largest_first) + sorted(faces, key=largest_first)
     return {
         "n": fan.n,
         "rays": [
             {"label": lab, "e": list(v.e), "f": list(v.f)}
             for lab, v in zip(fan.labels, fan.rays)
         ],
-        "cones": [sorted(c) for c in ordered],
+        "cones": [list(c) for c in ordered],
     }
 
 
@@ -529,9 +594,10 @@ def fan_from_json(data) -> Fan:
     maximal = []
     # largest first, so every cone containing c is seen before c
     for c in sorted(set(cones) | {frozenset()}, key=len, reverse=True):
-        if c not in covered:
+        members = tuple(sorted(c))
+        if members not in covered:
             maximal.append(c)
-            covered.update(_faces(c))
+            covered.update(_faces(members))
     return Fan(n, rays, labels, maximal)
 
 

@@ -317,6 +317,38 @@ def minors_rank_and_index(rows, ncols):
 
 
 # ---------------------------------------------------------------------------
+# per-cone checks
+# ---------------------------------------------------------------------------
+#
+# One cone at a time, each from scratch: the references for the fan-level
+# passes confan.fans.non_unimodular_cones and cones_off_coordinate_fan.
+
+
+def is_unimodular(fan, cone):
+    """Generators are independent and extend to a basis of the lattice: the
+    integer factor of the cone's rows (Fan.factor) has full rank and index 1."""
+    f = fan.factor(cone)
+    return f.rank == len(cone) and f.index == 1
+
+
+def maps_into_coordinate_fan(fan, cone, block, sign):
+    """Whether the cone's projection to the block ("first" or "second"),
+    with the sign ("plus" or "minus") applied, lands in one cone of the
+    coordinate fan: some coordinate is least in every generator."""
+    if block not in ("first", "second"):
+        raise ValueError("block must be 'first' or 'second'")
+    if sign not in ("plus", "minus"):
+        raise ValueError("sign must be 'plus' or 'minus'")
+    points = []
+    for i in cone:
+        v = fan.rays[i]
+        proj = v.e if block == "first" else v.f
+        points.append([x if sign == "plus" else -x for x in proj])
+    n = fan.n
+    return not points or any(all(p[j] == min(p) for p in points) for j in range(n))
+
+
+# ---------------------------------------------------------------------------
 # refinement of simplicial fans by linear algebra
 # ---------------------------------------------------------------------------
 #

@@ -30,12 +30,13 @@ from confan.config import (
     psi_det,
 )
 from confan.fans import (
+    Fan,
     biflat_label,
+    cones_off_coordinate_fan,
     delta_tilde_fan,
     divisor_incidence,
     fibre_fan,
-    is_unimodular,
-    maps_into_coordinate_fan,
+    non_unimodular_cones,
     parse_biflat_label,
     refines,
     square_conormal_fan,
@@ -174,10 +175,11 @@ def _criterion_matroids():
 def test_criterion_06_unimodular_and_coordinate_maps():
     for name, m in _criterion_matroids():
         fan = delta_tilde_fan(m)
-        assert all(is_unimodular(fan, c) for c in fan.cones), name
-        for cone in fan.maximal_cones():
-            assert maps_into_coordinate_fan(fan, cone, "first", "plus"), name
-            assert maps_into_coordinate_fan(fan, cone, "second", "minus"), name
+        # every face, each read as a maximal cone
+        faces = Fan(fan.n, fan.rays, fan.labels, fan.cones)
+        assert non_unimodular_cones(faces) == [], name
+        assert cones_off_coordinate_fan(fan, "first", "plus") == [], name
+        assert cones_off_coordinate_fan(fan, "second", "minus") == [], name
     report(6, "unimodularity and both projections on U_{2,3..5} and square-chord")
 
 

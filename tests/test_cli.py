@@ -366,8 +366,8 @@ class TestCharp:
         assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
 
     def test_one_minor_table_per_run(self, capsys, data_dir, monkeypatch):
-        # the input's table, from config_new; the standard form and its
-        # reduction mod p are checked without one
+        # charp reads the input's echelon form, never its minor table; the
+        # standard form and its reduction mod p are checked without one
         calls = []
         real = confan.arith.maximal_minors
 
@@ -379,9 +379,29 @@ class TestCharp:
             monkeypatch.setattr(module, "maximal_minors", counted)
         matrix = str(data_dir / "square_chord.mat.json")
         assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
-        assert len(calls) == 1
+        assert len(calls) == 0
         assert run_cli(capsys, "psi", matrix, "--check-det")[0] == 0
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_one_elimination_of_the_input_per_run(self, capsys, data_dir, monkeypatch):
+        # config_new's rank check, first_basis, the standard form and
+        # psi_det's factor A = A_P R all read the one echelon form
+        calls = []
+        real = confan.config._rref
+
+        def counted(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(confan.config, "_rref", counted)
+        for argv, expected in [
+            (["charp", "square_chord.mat.json", "--p", "3", "--strict"], 1),
+            (["psi", "square_chord.mat.json", "--check-det"], 2),
+            (["charp", "square_chord.graph", "--p", "5"], 3),
+        ]:
+            argv[1] = str(data_dir / argv[1])
+            assert run_cli(capsys, *argv)[0] == 0
+            assert len(calls) == expected
 
     def test_standard_form_with_a_zero_column_mod_p_exits_1(self, capsys, tmp_path):
         path = tmp_path / "loop7.json"

@@ -108,6 +108,8 @@ class TestConstruction:
                 if matrix_rank(c.a.column_submatrix(greedy + [j])) > len(greedy):
                     greedy.append(j)
             assert first_basis(c) == tuple(greedy)
+            # the least mask among the bases
+            assert first_basis(c) == tuple(j for j in range(c.n) if min(c.minors) >> j & 1)
         # the first two columns are parallel: the first basis skips the second
         assert first_basis(config_new(Matrix(((1, 2, 0, 1), (0, 0, 1, 1))))) == (0, 2)
 

@@ -1,4 +1,5 @@
 import json
+import random
 from collections import Counter
 from functools import lru_cache
 from itertools import combinations
@@ -15,21 +16,23 @@ from confan.errors import (
 from confan.fans import (
     Fan,
     LatticeVector,
+    _biflag_order,
     _maximal_chains,
+    _within,
     bergman_fan,
     biflat_label,
     biflat_ray,
+    cones_off_coordinate_fan,
     delta_fan,
     delta_tilde_fan,
     divisor_incidence,
     fan_from_json,
     fan_to_json,
     fibre_fan,
-    is_unimodular,
     lattice_e,
-    maps_into_coordinate_fan,
     minus_shear,
     mu_apply,
+    non_unimodular_cones,
     parse_biflat_label,
     refines,
     square_biflats,
@@ -41,12 +44,13 @@ from confan.matroid import (
     elements_of,
     mask_of,
     matroid_from_bases,
+    matroid_from_graph,
     parse_subset_label,
     uniform_matroid,
 )
 
 from . import oracles
-from .oracles import NotPure, NotSimplicial
+from .oracles import NotPure, NotSimplicial, is_unimodular, maps_into_coordinate_fan
 
 SQUARE_CHORD_BIFLAT_LABELS = [
     "124⊆E", "135⊆E",
@@ -350,6 +354,19 @@ class TestMaximalStorage:
         assert oracles.maximal_by_pairwise_scan(fan.maximal) == list(fan.maximal)
 
 
+W4_EDGES = [(0, i) for i in range(1, 5)] + [(i, i % 4 + 1) for i in range(1, 5)]
+
+
+class TestBiflagOrder:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS) + ["W4"])
+    def test_grouped_order_equals_pairwise_scan(self, name):
+        m = (matroid_from_graph(W4_EDGES) if name == "W4"
+             else matroid_from_bases(*ORACLE_MATROIDS[name]))
+        pairs = square_biflats(m)
+        scan = [[i for i, a in enumerate(pairs) if a != b and _within(a, b)] for b in pairs]
+        assert _biflag_order(pairs) == scan
+
+
 class TestDeltaFans:
     def test_square_chord_delta_tilde(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
@@ -395,18 +412,55 @@ class TestDeltaFans:
         assert oracles.refines(dt, dd) and oracles.refines(dd, dt)
 
 
+def plain_fan(n, coords, cones):
+    """A fan on rays given by their coordinates in Z^(2n-2) (both blocks
+    with a last entry 0), labelled by their indices."""
+    rays = [LatticeVector(tuple(c[:n - 1]) + (0,), tuple(c[n - 1:]) + (0,)) for c in coords]
+    assert [v.coords() for v in rays] == [tuple(c) for c in coords]
+    return Fan(n, rays, [str(i) for i in range(len(rays))], [frozenset(c) for c in cones])
+
+
+def random_fans(seed, count):
+    """Seeded fans of random integer rays (entries in [-2, 2]) and random
+    cones, many of them sharing leading rays."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice((2, 3, 4))
+        k = rng.randint(1, 7)
+        coords = [[rng.randint(-2, 2) for _ in range(2 * n - 2)] for _ in range(k)]
+        cones = {
+            frozenset(rng.sample(range(k), rng.randint(0, min(k, 2 * n - 1))))
+            for _ in range(rng.randint(1, 6))
+        }
+        yield plain_fan(n, coords, cones)
+
+
+def unimodular_by_oracle(fan):
+    return [c for c in fan.maximal if not is_unimodular(fan, c)]
+
+
+def off_coordinate_fan_by_oracle(fan, block, sign):
+    return [c for c in fan.maximal if not maps_into_coordinate_fan(fan, c, block, sign)]
+
+
+PROJECTIONS = [("first", "plus"), ("first", "minus"), ("second", "plus"), ("second", "minus")]
+
+
 class TestUnimodular:
     @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (2, 5)])
     def test_uniform_delta_tilde(self, r, n):
         fan = delta_tilde_fan(uniform_matroid(r, n))
+        assert non_unimodular_cones(fan) == []
         assert all(is_unimodular(fan, c) for c in fan.cones)
 
     def test_square_chord_delta_tilde(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
+        assert non_unimodular_cones(fan) == []
         assert all(is_unimodular(fan, c) for c in fan.cones)
 
     def test_square_chord_square_conormal(self, square_chord_bases):
         fan = square_conormal_fan(square_chord(square_chord_bases))
+        assert non_unimodular_cones(fan) == []
         assert all(is_unimodular(fan, c) for c in fan.cones)
 
     @pytest.mark.parametrize("which", ["delta", "delta-tilde", "square-conormal"])
@@ -414,11 +468,15 @@ class TestUnimodular:
     def test_matches_minors_oracle(self, name, which):
         n, bases = ORACLE_MATROIDS[name]
         fan = BUILDERS[which](matroid_from_bases(n, bases))
+        bad = []
         for c in fan.maximal_cones():
             rows = [fan.rays[i].coords() for i in sorted(c)]
             rank, index = oracles.minors_rank_and_index(rows, 2 * n - 2)
             assert is_unimodular(fan, c) == (rank == len(c) and index == 1)
             assert fan.cone_dim(c) == rank
+            if not (rank == len(c) and index == 1):
+                bad.append(c)
+        assert non_unimodular_cones(fan) == bad
 
     def test_non_unimodular_cone_detected(self):
         # cone spanned by (1,0,0) and (1,2,0) has index 2 in its span
@@ -426,53 +484,145 @@ class TestUnimodular:
                 LatticeVector((1, 2, 0), (0, 0, 0)))
         fan = Fan(3, rays, ("a", "b"), [frozenset([0, 1])])
         assert not is_unimodular(fan, frozenset([0, 1]))
+        assert non_unimodular_cones(fan) == [frozenset([0, 1])]
         rows = [v.coords() for v in rays]
         assert oracles.minors_rank_and_index(rows, 4) == (2, 2)
         assert fan.factor(frozenset([0, 1])).index == 2
         assert is_unimodular(fan, frozenset([0]))
         assert is_unimodular(fan, frozenset())
+        rays_alone = Fan(3, rays, ("a", "b"), [frozenset([0]), frozenset([1])])
+        assert non_unimodular_cones(rays_alone) == []
+        assert non_unimodular_cones(Fan(3, (), (), [frozenset()])) == []
+
+    @pytest.mark.parametrize("which", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_pass_matches_oracle(self, name, which):
+        fan = BUILDERS[which](matroid_from_bases(*ORACLE_MATROIDS[name]))
+        assert non_unimodular_cones(fan) == unimodular_by_oracle(fan)
+
+    def test_pass_matches_oracle_on_random_fans(self):
+        failing = 0
+        for fan in random_fans(2101, 400):
+            bad = non_unimodular_cones(fan)
+            assert bad == unimodular_by_oracle(fan)
+            failing += len(bad)
+        assert failing > 100
+
+    # rows in Z^4 (n = 3), one case per route of the pass
+    @pytest.mark.parametrize(
+        "coords,passes",
+        [
+            # index 2: the second row reduces to (0, 2, 0, 0)
+            pytest.param([(1, 0, 0, 0), (1, 2, 0, 0)], False, id="index-2"),
+            # the third row is the sum of the first two
+            pytest.param([(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0)], False, id="rank-deficient"),
+            pytest.param([(1, 0, 0, 0), (1, 0, 0, 0)], False, id="repeated-row"),
+            # no entry +-1 after the reduction; the 2 x 2 minors 2 and 3
+            # have gcd 1, and 2 and 4 have gcd 2
+            pytest.param([(1, 0, 0, 0), (1, 2, 3, 0)], True, id="no-unit-pivot-passes"),
+            pytest.param([(1, 0, 0, 0), (1, 2, 4, 0)], False, id="no-unit-pivot-fails"),
+            pytest.param([(2, 3, 0, 0)], True, id="single-row-passes"),
+            pytest.param([(2, 4, 0, 0)], False, id="single-row-fails"),
+            pytest.param([(1, 1, 0, 0), (1, -1, 0, 0)], False, id="unit-entries-index-2"),
+            pytest.param([(1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)], True, id="staircase"),
+        ],
+    )
+    def test_each_route(self, coords, passes):
+        fan = plain_fan(3, coords, [range(len(coords))])
+        assert is_unimodular(fan, fan.maximal[0]) == passes
+        assert non_unimodular_cones(fan) == ([] if passes else list(fan.maximal))
+
+    @pytest.mark.parametrize(
+        "cones",
+        [
+            pytest.param([(0, 1), (2, 3)], id="no-shared-prefix"),
+            # the failing cone {0, 1} stops the stack at ray 0, and the
+            # cones after it share that ray or more
+            pytest.param([(0, 1), (0, 1, 2), (0, 2), (0, 2, 3), (1, 2), (3,)],
+                         id="shared-prefixes"),
+            pytest.param([(0, 4), (1, 4), (2, 3, 4), (0, 2, 3)], id="shared-suffixes"),
+        ],
+    )
+    def test_cone_orders(self, cones):
+        coords = [(1, 0, 0, 0), (1, 2, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1), (0, 2, 3, 1)]
+        fan = plain_fan(3, coords, cones)
+        assert non_unimodular_cones(fan) == unimodular_by_oracle(fan)
+        # each cone alone
+        for c in fan.maximal:
+            alone = plain_fan(3, coords, [c])
+            assert non_unimodular_cones(alone) == unimodular_by_oracle(alone)
+
+    def test_k4_delta_tilde_factors_nothing(self, monkeypatch):
+        calls = []
+
+        def counting(rows):
+            calls.append(rows)
+            return factor_rows(rows)
+
+        monkeypatch.setattr("confan.fans.factor_rows", counting)
+        fan = delta_tilde_fan(matroid_from_bases(*ORACLE_MATROIDS["K4"]))
+        assert len(fan.maximal) == 540
+        assert non_unimodular_cones(fan) == []
+        assert calls == []
+        # the fallback is the only caller
+        assert non_unimodular_cones(plain_fan(3, [(2, 3, 0, 0)], [(0,)])) == []
+        assert calls == [[(2, 3, 0, 0)]]
 
 
 class TestCoordinateMaps:
     @pytest.mark.parametrize("r,n", [(2, 3), (2, 4), (2, 5)])
     def test_uniform_both_projections(self, r, n):
         fan = delta_tilde_fan(uniform_matroid(r, n))
-        for cone in fan.maximal_cones():
-            assert maps_into_coordinate_fan(fan, cone, "first", "plus")
-            assert maps_into_coordinate_fan(fan, cone, "second", "minus")
+        assert cones_off_coordinate_fan(fan, "first", "plus") == []
+        assert cones_off_coordinate_fan(fan, "second", "minus") == []
 
     def test_square_chord_both_projections(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
-        for cone in fan.maximal_cones():
-            assert maps_into_coordinate_fan(fan, cone, "first", "plus")
-            assert maps_into_coordinate_fan(fan, cone, "second", "minus")
+        assert cones_off_coordinate_fan(fan, "first", "plus") == []
+        assert cones_off_coordinate_fan(fan, "second", "minus") == []
 
     def test_square_chord_delta_fails_second_projection(self, square_chord_bases):
         # the coarse fan does not resolve this matroid
         fan = delta_fan(square_chord(square_chord_bases))
-        bad = [c for c in fan.maximal_cones()
-               if not maps_into_coordinate_fan(fan, c, "second", "minus")]
+        bad = cones_off_coordinate_fan(fan, "second", "minus")
         assert len(bad) == 14
-        assert all(maps_into_coordinate_fan(fan, c, "first", "plus")
-                   for c in fan.maximal_cones())
+        assert bad == off_coordinate_fan_by_oracle(fan, "second", "minus")
+        assert cones_off_coordinate_fan(fan, "first", "plus") == []
 
     def test_bad_arguments(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
-        cone = fan.maximal_cones()[0]
         with pytest.raises(ValueError):
-            maps_into_coordinate_fan(fan, cone, "third", "plus")
+            cones_off_coordinate_fan(fan, "third", "plus")
         with pytest.raises(ValueError):
-            maps_into_coordinate_fan(fan, cone, "first", "sideways")
+            cones_off_coordinate_fan(fan, "first", "sideways")
 
-    def test_bad_sign_on_empty_cone(self, square_chord_bases):
-        # the arguments are checked before the cone's rays are read
-        fan = delta_tilde_fan(square_chord(square_chord_bases))
+    def test_bad_sign_on_empty_cone(self):
+        # the arguments are checked before any ray is read
         with pytest.raises(ValueError):
-            maps_into_coordinate_fan(fan, frozenset(), "first", "sideways")
+            cones_off_coordinate_fan(Fan(5, [], [], [frozenset()]), "first", "sideways")
 
-    def test_trivial_cone_passes(self, square_chord_bases):
-        fan = delta_tilde_fan(square_chord(square_chord_bases))
-        assert maps_into_coordinate_fan(fan, frozenset(), "first", "plus")
+    def test_trivial_cone_passes(self):
+        trivial = Fan(5, [], [], [frozenset()])
+        for block, sign in PROJECTIONS:
+            assert cones_off_coordinate_fan(trivial, block, sign) == []
+
+    @pytest.mark.parametrize("which", sorted(BUILDERS))
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_pass_matches_oracle(self, name, which):
+        fan = BUILDERS[which](matroid_from_bases(*ORACLE_MATROIDS[name]))
+        for block, sign in PROJECTIONS:
+            assert cones_off_coordinate_fan(fan, block, sign) == off_coordinate_fan_by_oracle(
+                fan, block, sign
+            )
+
+    def test_pass_matches_oracle_on_random_fans(self):
+        failing = 0
+        for fan in random_fans(2102, 400):
+            for block, sign in PROJECTIONS:
+                bad = cones_off_coordinate_fan(fan, block, sign)
+                assert bad == off_coordinate_fan_by_oracle(fan, block, sign)
+                failing += len(bad)
+        assert failing > 100
 
 
 def mutant(fan, maximal=None, rays=None, ray_data=None):

@@ -23,9 +23,9 @@ PUBLIC = {
     "motivic_class resolution_betti",
     "config": "Configuration config_from_graph config_new lambda_system "
     "psi_basis_expansion psi_det q_w_matrix",
-    "fans": "Fan LatticeVector bergman_fan delta_fan delta_tilde_fan "
-    "divisor_incidence fan_from_json fan_to_json fibre_fan is_unimodular "
-    "maps_into_coordinate_fan mu_apply refines square_biflats square_conormal_fan",
+    "fans": "Fan LatticeVector bergman_fan cones_off_coordinate_fan delta_fan "
+    "delta_tilde_fan divisor_incidence fan_from_json fan_to_json fibre_fan mu_apply "
+    "non_unimodular_cones refines square_biflats square_conormal_fan",
     "incidence": "Point XRankClass dual_config duality_map hadamard_square "
     "iota_differential_check jacobian_rank nonround_flats on_lambda "
     "sample_stratum_point sample_torus_point singular_witness x_rank_class",
