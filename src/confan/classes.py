@@ -9,6 +9,7 @@ from math import comb
 from .errors import (
     Degenerate,
     HasLoops,
+    NonDivisible,
     NotConnected,
     NotRound,
 )
@@ -21,6 +22,7 @@ from .matroid import (
     is_round,
     loops_of,
     rank_of,
+    subset_label,
 )
 
 
@@ -33,20 +35,32 @@ def motivic_class(m: Matroid) -> ClassPoly:
     """Class of the incidence variety: sum over proper flats F of the reduced
     characteristic polynomial of the contraction, weighted by the class of
     the projective space of betas vanishing outside rank(complement) directions.
-    All the contractions' polynomials come from one sweep of the rank table."""
+    All the contractions' polynomials come from one sweep of the rank table.
+
+    The flats of one weight k = n - rank(E minus F) share the factor
+    [P^(k-1)], so their polynomials are summed first, and each weight class
+    takes one division by t - 1 and one product.  M/F is loopless of rank
+    >= 1, so chi(M/F)(1) = 0; that is checked flat by flat, since in a sum
+    one flat's remainder could cancel another's."""
     if loops_of(m):
         raise HasLoops("matroid has loops")
     if not is_connected(m):
         raise NotConnected("class formula needs a connected matroid")
     full = m.ground
-    total = ClassPoly([], "L")
+    by_weight = {}
     for f, chi in contraction_char_polys(m).items():
         if f == full:
             continue
-        # M/F is loopless of rank >= 1, so chi(1) = 0: t - 1 divides
-        chi = chi.div_exact(T_MINUS_1).with_symbol("L")
-        weight = _projective_space(m.n - rank_of(m, full & ~f))
-        total = total + chi * weight
+        at_one = chi.evaluate(1)
+        if at_one:
+            raise NonDivisible(
+                "chi(M/F)(1) = %d, not 0, at F = %s" % (at_one, subset_label(f, m.n))
+            )
+        k = m.n - rank_of(m, full & ~f)
+        by_weight[k] = by_weight[k] + chi if k in by_weight else chi
+    total = ClassPoly([], "L")
+    for k, chi in by_weight.items():
+        total = total + chi.div_exact(T_MINUS_1).with_symbol("L") * _projective_space(k)
     return total
 
 

@@ -465,9 +465,10 @@ def refines(m: Matroid, fine: Fan):
         for props, flags in map(_bergman_flags, (m, d))
     )
     m_set, d_set = set(m_flags), set(d_flags)
+    size = [f.bit_count() + g.bit_count() for f, g in pairs]
     by_home = {}
     for tau in dict.fromkeys(fine.maximal):  # a cone listed twice counts once
-        chain = sorted(tau, key=lambda i: pairs[i][0].bit_count() + pairs[i][1].bit_count())
+        chain = tuple(sorted(tau, key=size.__getitem__))
         fs = frozenset(pairs[i][0] for i in chain) - {0}
         gs = frozenset(pairs[i][1] for i in chain) - {full}
         if (
@@ -478,13 +479,16 @@ def refines(m: Matroid, fine: Fan):
             or gs not in d_set
         ):
             return "cone %s: no home" % cone_label(fine, tau)
-        by_home.setdefault((fs, gs), []).append(tau)
+        by_home.setdefault((fs, gs), []).append(chain)
 
     if len(by_home) < len(m_flags) * len(d_flags):
         home = next((a, b) for a in m_flags for b in d_flags if (a, b) not in by_home)
         return "flag pair %s: no fine cone" % _home_label(home, n)
-    for (fs, gs), taus in by_home.items():
-        for rho, count in Counter(tau - {i} for tau in taus for i in tau).items():
+    # a chain's rays strictly grow in |F| + |G|, so a facet cut from the
+    # sorted chain is the same tuple in every cone that has it
+    for (fs, gs), chains in by_home.items():
+        facets = Counter(c[:k] + c[k + 1:] for c in chains for k in range(len(c)))
+        for rho, count in facets.items():
             inside = fs <= {pairs[i][0] for i in rho} and gs <= {pairs[i][1] for i in rho}
             expected = 2 if inside else 1
             if count != expected:

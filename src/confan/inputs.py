@@ -9,14 +9,13 @@ Formats:
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING
 
 from .errors import ParseError
 
 # Graph and basis inputs never need exact arithmetic or configurations, and
 # configurations never need a matroid: each route imports arith, config,
-# fractions or matroid itself.
+# fractions, json or matroid itself.
 if TYPE_CHECKING:
     from .arith import Matrix
     from .config import Configuration
@@ -121,6 +120,8 @@ def _read(path: str) -> str:
 
 
 def _load_json(path: str):
+    import json
+
     try:
         return json.loads(_read(path))
     except json.JSONDecodeError as exc:

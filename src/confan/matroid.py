@@ -10,6 +10,7 @@ basis list and the table are exponential in n by design.
 from __future__ import annotations
 
 from itertools import combinations
+from operator import add
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
@@ -340,24 +341,50 @@ def _connected_components(vertices, edges):
     return len({find(v) for v in vertices})
 
 
+def _spanning_trees(vertices, edges) -> list:
+    """Edge masks of the spanning trees of a connected graph.
+
+    A depth-first search over the edges in input order that carries, per
+    vertex, the mask of the vertices in its component: it takes an edge
+    only when the edge joins two components, and stops a branch when too
+    few edges remain to finish a tree."""
+    index = {v: i for i, v in enumerate(vertices)}
+    ends = [(index[u], index[v]) for u, v in edges]
+    n, r = len(ends), len(vertices) - 1
+    trees = []
+
+    def grow(start, comp, taken, mask):
+        if taken == r:
+            trees.append(mask)
+            return
+        for i in range(start, n - r + taken + 1):
+            u, v = ends[i]
+            if comp[u] >> v & 1:
+                continue
+            merged = comp[u] | comp[v]
+            # components are disjoint: c meets merged only if it is u's or v's
+            grow(
+                i + 1,
+                tuple([merged if c & merged else c for c in comp]),
+                taken + 1,
+                mask | 1 << i,
+            )
+
+    grow(0, tuple(1 << i for i in range(r + 1)), 0, 0)
+    return trees
+
+
 def matroid_from_graph(edges) -> Matroid:
     """Cycle matroid of a connected graph; edges are numbered 1..n in input order."""
     edges = [tuple(e) for e in edges]
-    n = len(edges)
-    if n == 0:
+    if not edges:
         raise ValueError("no edges")
     vertices = _vertices(edges)
     if _connected_components(vertices, edges) != 1:
         raise DisconnectedGraph("graph is not connected")
-    r = len(vertices) - 1
-    if r == 0:
+    if len(vertices) == 1:
         raise Degenerate("single-vertex graph has a rank-0 matroid")
-    bases = []
-    for subset in combinations(range(n), r):
-        chosen = [edges[i] for i in subset]
-        if _connected_components(vertices, chosen) == 1:
-            bases.append(mask_of(i + 1 for i in subset))
-    return Matroid(n, bases, check=False)
+    return Matroid(len(edges), _spanning_trees(vertices, edges), check=False)
 
 
 def rank_of(m: Matroid, s: int) -> int:
@@ -495,28 +522,49 @@ def char_poly(m: Matroid) -> ClassPoly:
 
 
 def contraction_char_polys(m: Matroid) -> dict:
-    """Flat F -> characteristic polynomial of M/F, for every flat at once.
+    """Flat F -> characteristic polynomial of M/F, for every flat at once,
+    in the order of flats(m).
 
-    By Whitney's theorem on M/F, chi(M/F) is the sum over the subsets S
-    containing F of (-1)^|S - F| t^(r - rank S).  One sweep per element adds
-    each subset's sum into the subset without that element, which gives the
-    sum over all supersets of every subset in n 2^(n-1) steps."""
-    rank = m.rank_table()
-    size = 1 << m.n
-    sums = []
-    for s in range(size):
-        term = [0] * (m.r + 1)
-        term[m.r - rank[s]] = -1 if s.bit_count() & 1 else 1
-        sums.append(term)
-    for e in range(m.n):
+    By Whitney's theorem on M/F, chi(M/F) is (-1)^|F| times the sum over the
+    subsets S containing F of (-1)^|S| t^(r - rank S).  Each subset's term is
+    packed into one int, the polynomial at t = 2^w with w = n + 2.  One sweep
+    per element adds each subset's sum into the subset without that element,
+    which gives the sum over all supersets of every subset in n 2^(n-1) int
+    additions.  The digits base 2^w are read back, signed, only at the flats.
+    That is exact: after j sweeps each coefficient is a sum of at most 2^j
+    terms +-1, so |c| <= 2^n < 2^(w-1), and a digit never carries into the
+    next."""
+    n, r = m.n, m.r
+    w = n + 2
+    digit, half = (1 << w) - 1, 1 << (w - 1)
+    # the term of a subset of rank k with |S| even, by k; negated when odd
+    even = [1 << w * (r - k) for k in range(r + 1)]
+    odd = [-x for x in even]
+    sums = [(odd if s.bit_count() & 1 else even)[k] for s, k in enumerate(m.rank_table())]
+    size = 1 << n
+    for e in range(n):
         bit = 1 << e
-        for s in range(size):
-            if not s & bit:
-                sums[s] = [a + b for a, b in zip(sums[s], sums[s | bit])]
-    return {
-        f: ClassPoly(sums[f], "t") * (-1 if f.bit_count() & 1 else 1)
-        for f in flats(m)
-    }
+        step = bit << 1
+        # the subsets without e, in strided or contiguous runs, whichever
+        # takes fewer slices; each run gains the run with e added
+        if bit <= size // step:
+            for lo in range(bit):
+                sums[lo::step] = map(add, sums[lo::step], sums[lo + bit::step])
+        else:
+            for lo in range(0, size, step):
+                sums[lo:lo + bit] = map(add, sums[lo:lo + bit], sums[lo + bit:lo + step])
+    out = {}
+    for f in flats(m):
+        packed = -sums[f] if f.bit_count() & 1 else sums[f]
+        coeffs = []
+        for _ in range(r + 1):
+            c = packed & digit
+            if c >= half:
+                c -= 1 << w
+            coeffs.append(c)
+            packed = (packed - c) >> w
+        out[f] = ClassPoly(coeffs, "t")
+    return out
 
 
 T_MINUS_1 = ClassPoly([-1, 1], "t")

@@ -232,6 +232,80 @@ def spanning_tree_count(vertices, edges):
     return abs(int(det))
 
 
+def graphic_bases_by_union_find(edges):
+    """Edge masks (bit i for edge i + 1) of the spanning trees of a connected
+    graph: every (|V| - 1)-subset of the edges, kept when a fresh union-find
+    over it joins all the vertices."""
+    vertices = {w for e in edges for w in e}
+    out = set()
+    for subset in combinations(range(len(edges)), len(vertices) - 1):
+        parent = {v: v for v in vertices}
+
+        def find(v):
+            while parent[v] != v:
+                v = parent[v]
+            return v
+
+        for i in subset:
+            parent[find(edges[i][0])] = find(edges[i][1])
+        if len({find(v) for v in vertices}) == 1:
+            out.add(sum(1 << i for i in subset))
+    return out
+
+
+def contraction_char_polys_by_lists(m):
+    """Flat F -> coefficients of chi(M/F), ascending and without trailing
+    zeros, in the order of the matroid's flats: the superset sweep of the
+    Whitney sums (-1)^|S - F| t^(r - rank S), one list of r + 1 coefficients
+    per subset, added elementwise."""
+    from confan.matroid import flats
+
+    rank = m.rank_table()
+    sums = []
+    for s in range(1 << m.n):
+        term = [0] * (m.r + 1)
+        term[m.r - rank[s]] = -1 if bin(s).count("1") % 2 else 1
+        sums.append(term)
+    for e in range(m.n):
+        bit = 1 << e
+        for s in range(1 << m.n):
+            if not s & bit:
+                sums[s] = [a + b for a, b in zip(sums[s], sums[s | bit])]
+    out = {}
+    for f in flats(m):
+        coeffs = [-c if bin(f).count("1") % 2 else c for c in sums[f]]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        out[f] = coeffs
+    return out
+
+
+def motivic_class_per_flat(m):
+    """Coefficients of [Lambda] in L, ascending: over each proper flat F, the
+    quotient of chi(M/F) by t - 1, times 1 + L + ... + L^(k-1) with
+    k = n - rank(E minus F), added flat by flat.  The polynomials come from
+    contraction_char_polys_by_lists."""
+    full = (1 << m.n) - 1
+    rank = m.rank_table()
+    total = [0] * (m.n + m.r)
+    for f, chi in contraction_char_polys_by_lists(m).items():
+        if f == full:
+            continue
+        # synthetic division by t - 1, highest coefficient first
+        quotient, carry = [], 0
+        for c in reversed(chi):
+            carry += c
+            quotient.append(carry)
+        assert quotient.pop() == 0, "t - 1 does not divide chi(M/F)"
+        quotient.reverse()
+        for i, a in enumerate(quotient):
+            for j in range(m.n - rank[full & ~f]):
+                total[i + j] += a
+    while total and total[-1] == 0:
+        total.pop()
+    return total
+
+
 def _projective_reps(dim, q):
     """Representatives of P^(dim-1)(F_q): first nonzero coordinate is 1."""
     for lead in range(dim):

@@ -12,10 +12,11 @@ from confan.classes import (
     resolution_betti,
 )
 from confan.config import psi_basis_expansion
-from confan.errors import Degenerate, HasLoops, NotConnected, NotRound
+from confan.errors import Degenerate, HasLoops, NonDivisible, NotConnected, NotRound
 from confan.matroid import (
     ClassPoly,
     contract,
+    contraction_char_polys,
     flats,
     matroid_from_bases,
     matroid_from_graph,
@@ -24,7 +25,12 @@ from confan.matroid import (
     uniform_matroid,
 )
 
-from .oracles import biprojective_incidence_count, projective_hypersurface_count
+from .oracles import (
+    biprojective_incidence_count,
+    motivic_class_per_flat,
+    projective_hypersurface_count,
+)
+from .test_matroid import SWEEP_CASES, wheel
 
 
 def _wheel_example_matroid():
@@ -61,17 +67,13 @@ def contraction_route(m):
     return total
 
 
-def wheel_graph(k):
-    return [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
-
-
 class TestMotivicClass:
     @pytest.mark.parametrize(
         "build",
         [
             lambda: matroid_from_graph([(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)]),
             lambda: matroid_from_graph(list(combinations(range(4), 2))),
-            lambda: matroid_from_graph(wheel_graph(4)),
+            lambda: matroid_from_graph(wheel(4)),
             lambda: uniform_matroid(3, 6),
             _wheel_example_matroid,
         ],
@@ -80,6 +82,25 @@ class TestMotivicClass:
     def test_equals_contraction_route(self, build):
         m = build()
         assert motivic_class(m) == contraction_route(m)
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_equals_per_flat_sum(self, name):
+        m = SWEEP_CASES[name]()
+        assert list(motivic_class(m).coeffs) == motivic_class_per_flat(m)
+
+    def test_each_flat_must_vanish_at_one(self, square_chord_matroid, monkeypatch):
+        # 1 and 2 are flats of one weight class, n - rank(E minus F) = 2:
+        # moving a constant term from chi(M/1) to chi(M/2) leaves their sum
+        # divisible by t - 1, and the check flat by flat still fails
+        m = square_chord_matroid
+        polys = dict(contraction_char_polys(m))
+        one, two = 0b1, 0b10
+        assert {m.n - rank_of(m, m.ground & ~f) for f in (one, two)} == {2}
+        polys[one] = polys[one] + ClassPoly([1], "t")
+        polys[two] = polys[two] - ClassPoly([1], "t")
+        monkeypatch.setattr("confan.classes.contraction_char_polys", lambda _: polys)
+        with pytest.raises(NonDivisible, match=r"chi\(M/F\)\(1\) = 1, not 0, at F = 1$"):
+            motivic_class(m)
 
     def test_square_chord_frozen(self, square_chord_matroid):
         assert motivic_class(square_chord_matroid) == ClassPoly([1, 2, 4, 1], "L")

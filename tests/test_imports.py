@@ -116,6 +116,20 @@ class TestCommandImports:
         assert not loaded_by("--help") & LAYERS
         assert not loaded_by("fan", "--help") & LAYERS
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], ["classes", str(DATA / "square_chord.graph")]],
+        ids=["help", "classes-graph"],
+    )
+    def test_text_output_on_graph_input_skips_json(self, argv):
+        loaded_by(*argv, then="assert 'json' not in sys.modules\n")
+
+    def test_json_output_loads_json(self):
+        loaded_by(
+            "classes", str(DATA / "square_chord.graph"), "--output", "json",
+            then="assert 'json' in sys.modules\n",
+        )
+
     @pytest.mark.parametrize("command", ["matroid-info", "classes"])
     @pytest.mark.parametrize("data", ["square_chord.graph", "u25.bases.json"])
     def test_matroid_commands_skip_arith_and_config(self, command, data):

@@ -35,17 +35,36 @@ from confan.matroid import (
 )
 
 from .oracles import (
+    contraction_char_polys_by_lists,
     flats_by_closure,
+    graphic_bases_by_union_find,
     mobius_char_poly,
     proper_colorings,
     rank_from_bases,
     satisfies_basis_exchange,
     whitney_char_poly,
 )
+from .test_fans import ORACLE_MATROIDS
 
 
 def k4():
     return matroid_from_graph([(a, b) for a, b in combinations("abcd", 2)])
+
+
+def wheel(k):
+    return [(0, i) for i in range(1, k + 1)] + [(i, i % k + 1) for i in range(1, k + 1)]
+
+
+# every ORACLE_MATROIDS entry, and two at the n = 12 cap, whose packed
+# superset sums hold the widest coefficients
+SWEEP_CASES = {
+    **{
+        name: lambda n=n, bases=bases: matroid_from_bases(n, bases)
+        for name, (n, bases) in ORACLE_MATROIDS.items()
+    },
+    "W6": lambda: matroid_from_graph(wheel(6)),
+    "U(6,12)": lambda: uniform_matroid(6, 12),
+}
 
 
 def assert_table_and_flats_match_oracles(m):
@@ -336,6 +355,58 @@ class TestContractionCharPolys:
             assert list(polys[f].coeffs) == mobius_char_poly(
                 minor.n, rank_from_bases(minor.n, bases)
             )
+
+    @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+    def test_packed_sweep_equals_list_sweep(self, name):
+        m = SWEEP_CASES[name]()
+        polys = contraction_char_polys(m)
+        expected = contraction_char_polys_by_lists(m)
+        assert list(polys) == list(expected)
+        assert {f: list(p.coeffs) for f, p in polys.items()} == expected
+
+
+GRAPHS = {
+    "square-chord": [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)],
+    "K4": list(combinations("abcd", 2)),
+    "W4": wheel(4),
+    "K5": list(combinations(range(5), 2)),
+    "W6": wheel(6),
+    "parallel-edge": [(1, 2), (2, 3), (1, 2), (3, 4), (4, 1), (1, 3)],
+    "loop-edge": [(1, 2), (2, 3), (3, 3), (3, 4), (4, 1), (1, 3)],
+}
+
+
+class TestGraphicBases:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_spanning_tree_search_equals_union_find(self, name):
+        edges = GRAPHS[name]
+        m = matroid_from_graph(edges)
+        assert m.n == len(edges)
+        assert m.bases == frozenset(graphic_bases_by_union_find(edges))
+
+    def test_loop_and_parallel_edges(self):
+        # edge 3 is a loop, in no basis; on the path with a doubled edge,
+        # the parallel edges 1 and 3 never share one
+        assert loops_of(matroid_from_graph(GRAPHS["loop-edge"])) == mask_of([3])
+        m = matroid_from_graph([(1, 2), (2, 3), (1, 2)])
+        assert m.bases == frozenset(map(mask_of, [(1, 2), (2, 3)]))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[(1, 2), (3, 4)], [(1, 1), (2, 2)], [(1, 2), (2, 3), (3, 1), (4, 5)]],
+        ids=["two-edges", "two-loops", "triangle-and-edge"],
+    )
+    def test_disconnected_graph_raises(self, edges):
+        with pytest.raises(DisconnectedGraph, match="^graph is not connected$"):
+            matroid_from_graph(edges)
+
+    def test_one_vertex_graph_is_degenerate(self):
+        with pytest.raises(Degenerate, match="single-vertex graph"):
+            matroid_from_graph([(1, 1), (1, 1)])
+
+    def test_no_edges_rejected(self):
+        with pytest.raises(ValueError, match="no edges"):
+            matroid_from_graph([])
 
 
 class TestBasisValidation:
