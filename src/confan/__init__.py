@@ -12,7 +12,6 @@ from importlib import import_module
 _EXPORTS = {
     "arith": ("Fp", "Matrix", "MultiPoly", "det", "kernel_basis", "matrix_rank"),
     "charp": (
-        "Certificate",
         "fedder_witness",
         "lead_term_certificate",
         "linkage_generators",

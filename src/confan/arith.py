@@ -13,14 +13,39 @@ from typing import Iterable, Sequence
 from .errors import NonSquare, ZeroPolynomial
 
 
+# Miller-Rabin on the 13 prime bases 2..41 is exact below this bound: it is
+# the least strong pseudoprime to all of them (Sorenson and Webster, Math.
+# Comp. 86, 2017).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p: int) -> bool:
+    """Whether p is prime, by deterministic Miller-Rabin; ValueError for a p
+    at or above PRIME_TEST_BOUND, where the test is no longer exact."""
+    if p >= PRIME_TEST_BOUND:
+        raise ValueError(
+            "p = %d is too large: primality is decided below %d" % (p, PRIME_TEST_BOUND)
+        )
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    if p in _PRIME_BASES:
+        return True
+    # p - 1 = d * 2^s with d odd
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

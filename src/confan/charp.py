@@ -22,60 +22,7 @@ from .config import (
     psi_det,
     xu_variables,
 )
-from .errors import (
-    LeadTermFailure,
-    ParseError,
-)
-
-
-class Certificate:
-    """
-    Re-checkable verdict object.
-
-    kind    - "InitialIdeal" | "FPurity" | "Linkage"
-    verdict - "pass" | "fail"
-    data    - JSON-ready payload (order, leads, witness, p, ...)
-    reason  - set when verdict is "fail"
-    """
-
-    __slots__ = ("kind", "verdict", "data", "reason")
-
-    def __init__(self, kind, verdict, data, reason=None):
-        self.kind = kind
-        self.verdict = verdict
-        self.data = dict(data)
-        self.reason = reason
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Certificate)
-            and self.kind == other.kind
-            and self.verdict == other.verdict
-            and self.data == other.data
-            and self.reason == other.reason
-        )
-
-    def __repr__(self):
-        return "Certificate(%s, %s)" % (self.kind, self.verdict)
-
-    def to_json(self) -> dict:
-        out = {"kind": self.kind}
-        out.update(self.data)
-        out["verdict"] = self.verdict
-        if self.reason is not None:
-            out["reason"] = self.reason
-        return out
-
-
-def certificate_from_json(data) -> Certificate:
-    try:
-        body = dict(data)
-        kind = body.pop("kind")
-        verdict = body.pop("verdict")
-    except (KeyError, TypeError):
-        raise ParseError("certificate JSON needs kind and verdict") from None
-    reason = body.pop("reason", None)
-    return Certificate(kind, verdict, body, reason)
+from .errors import LeadTermFailure
 
 
 # x1 > ... > xn > u1 > ... > ur: plain lex on the joint exponent tuples
@@ -110,33 +57,34 @@ def _expected_lead(i: int, n: int, r: int):
     return tuple(mono)
 
 
-def lead_term_certificate(c: Configuration) -> Certificate:
+def lead_term_certificate(c: Configuration) -> dict:
     """Verify lead(q_i) = x_i*u_i for all i under the x-then-u lex order.
 
     A pass certifies the generators are a Groebner basis with squarefree,
     pairwise coprime initial terms, hence a radical complete intersection.
     The leads x_i*u_i are squarefree and share no variable for distinct i,
-    so matching each lead to x_i*u_i is the whole check.  A fail carries the
-    leads found, and the first mismatch as its reason.
+    so matching each lead to x_i*u_i is the whole check.
+
+    The certificate is the JSON-ready dict `charp --output json` prints:
+    kind "InitialIdeal", order, leads, verdict "pass" or "fail", and on a
+    fail the first mismatch as its reason.
     """
     variables = xu_variables(c.n, c.r)
     leads = [poly_lead_term(q)[0] for q in lambda_system(c)]
-    reason = None
+    cert = {
+        "kind": "InitialIdeal",
+        "order": ORDER_NAME,
+        "leads": [mono_str(m, variables) for m in leads],
+        "verdict": "pass",
+    }
     for i, mono in enumerate(leads):
         if mono != _expected_lead(i, c.n, c.r):
-            reason = "lead of q%d is %s, not x%d*u%d; reduce to standard form first" % (
+            cert["verdict"] = "fail"
+            cert["reason"] = "lead of q%d is %s, not x%d*u%d; reduce to standard form first" % (
                 i + 1, mono_str(mono, variables), i + 1, i + 1
             )
             break
-    return Certificate(
-        "InitialIdeal",
-        "pass" if reason is None else "fail",
-        {
-            "order": ORDER_NAME,
-            "leads": [mono_str(m, variables) for m in leads],
-        },
-        reason=reason,
-    )
+    return cert
 
 
 def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
@@ -152,7 +100,7 @@ def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
     return Configuration(a)
 
 
-def fedder_witness(c: Configuration, p: int) -> Certificate:
+def fedder_witness(c: Configuration, p: int) -> dict:
     """Splitting witness mod p: the lead monomial of (q_1*...*q_r)^(p-1).
 
     The verdict is the lead-term certificate of c reduced mod p and nothing
@@ -174,9 +122,17 @@ def fedder_witness(c: Configuration, p: int) -> Certificate:
         witness[i] = p - 1
         witness[c.n + i] = p - 1
     initial = lead_term_certificate(reduced)
-    data = {"order": ORDER_NAME, "leads": initial.data["leads"]}
-    data.update(witness=mono_str(tuple(witness), variables), p=p, witness_exponent=p - 1)
-    return Certificate("FPurity", initial.verdict, data, reason=initial.reason)
+    cert = {
+        "kind": "FPurity",
+        "order": ORDER_NAME,
+        "leads": initial["leads"],
+        "witness": mono_str(tuple(witness), variables),
+        "p": p,
+        "witness_exponent": p - 1,
+    }
+    # the verdict, and on a fail its reason, are the lead-term certificate's
+    cert.update((k, initial[k]) for k in ("verdict", "reason") if k in initial)
+    return cert
 
 
 def linkage_generators(c: Configuration):

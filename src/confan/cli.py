@@ -269,19 +269,18 @@ def cmd_charp(args, cap):
         raise ParseError(str(exc)) from None
     lines = [
         "permutation: %s" % " ".join(str(j + 1) for j in perm),
-        "initial ideal: %s (leads %s)" % (cert.verdict, ", ".join(cert.data["leads"])),
-        "fedder witness (p=%d): %s -> %s"
-        % (args.p, fcert.data["witness"], fcert.verdict),
+        "initial ideal: %s (leads %s)" % (cert["verdict"], ", ".join(cert["leads"])),
+        "fedder witness (p=%d): %s -> %s" % (args.p, fcert["witness"], fcert["verdict"]),
     ]
     failures = []
-    if cert.verdict != "pass":
-        failures.append("initial ideal certificate failed: %s" % cert.reason)
-    if fcert.verdict != "pass":
-        failures.append("fedder witness failed: %s" % fcert.reason)
+    if cert["verdict"] != "pass":
+        failures.append("initial ideal certificate failed: %s" % cert["reason"])
+    if fcert["verdict"] != "pass":
+        failures.append("fedder witness failed: %s" % fcert["reason"])
     payload = {
         "permutation": [j + 1 for j in perm],
-        "initial": cert.to_json(),
-        "fpurity": fcert.to_json(),
+        "initial": cert,
+        "fpurity": fcert,
     }
     if args.strict:
         ok = spair_reduction_check(std)

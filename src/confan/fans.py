@@ -21,7 +21,6 @@ from .errors import (
     NotAFlat,
     ParseError,
 )
-from .hermite import factor_rows
 from .matroid import (
     Matroid,
     coloops_of,
@@ -180,13 +179,12 @@ class Fan:
         return self.maximal
 
     def factor(self, cone):
-        """The integer factor (hermite.factor_rows) of the cone's generators,
-        rows in Z^(2n-2) in the order of their ray indices."""
-        rows = [self.rays[i].coords() for i in sorted(cone)]
-        return factor_rows(rows)
+        """(rank, index) of the cone's generators (factor_rows), rows in
+        Z^(2n-2) in the order of their ray indices."""
+        return factor_rows([self.rays[i].coords() for i in sorted(cone)])
 
     def cone_dim(self, cone) -> int:
-        return self.factor(cone).rank
+        return self.factor(cone)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -194,22 +192,25 @@ class Fan:
 # ---------------------------------------------------------------------------
 
 
-def _chains(lower, admissible=lambda chain: True):
-    """All admissible chains in a finite poset on the indices 0..k-1, as index
-    tuples in decreasing order, the empty chain included.
+def _chains(lower, diffs, full):
+    """All chains in a finite poset on the indices 0..k-1 whose union of
+    diffs stays proper, as index tuples in decreasing order, the empty chain
+    included.
 
-    lower[j] lists the indices strictly below j.  Every subchain of an
-    admissible chain must be admissible (a fan's cones are closed under
-    faces), so the search stops at the first rejected chain.
+    lower[j] lists the indices strictly below j, and diffs[i] is a mask in
+    full (for a biflat, G minus F).  A subchain's union lies in the chain's,
+    so the rule is closed under subchains (a fan's cones are closed under
+    faces): the search stops at the first rejected chain, and each chain on
+    its stack carries its union.
     """
-    stack = [()]
+    stack = [((), 0)]
     while stack:
-        chain = stack.pop()
+        chain, union = stack.pop()
         yield chain
         for i in lower[chain[-1]] if chain else range(len(lower)):
-            longer = chain + (i,)
-            if admissible(longer):
-                stack.append(longer)
+            longer = union | diffs[i]
+            if longer != full:
+                stack.append((chain + (i,), longer))
 
 
 def _maximal_chains(chains):
@@ -231,7 +232,8 @@ def _bergman_flags(m: Matroid):
         raise HasLoops("matroid has loops")
     props = [f for f in flats(m) if f not in (0, m.ground)]
     lower = [[i for i, a in enumerate(props) if a != b and a & b == a] for b in props]
-    return props, _maximal_chains(_chains(lower))
+    # a flag of flats is a biflag chain with G = F: every diff is empty
+    return props, _maximal_chains(_chains(lower, [0] * len(props), m.ground))
 
 
 def bergman_fan(m: Matroid) -> Fan:
@@ -288,25 +290,15 @@ def _biflag_order(pairs):
     ]
 
 
-def _proper_union(chain, diffs, full) -> bool:
-    """Whether the union of diffs[i] over i in chain leaves an element of
-    full out; diffs[i] is the mask G minus F of the i-th biflat."""
-    union = 0
-    for i in chain:
-        union |= diffs[i]
-    return union != full
-
-
 def _biflag_fan(m: Matroid, pairs) -> Fan:
     """Fan on rays -e_F + f_G over the given square biflats; cones are the
     biflag chains, each biflat within the next, whose union of G minus F
     stays proper.  Those chains are closed under subchains, so over any set
     of square biflats this is the part of the full fan that the set spans."""
-    n, full = m.n, m.ground
+    n = m.n
     rays = [biflat_ray(f, g, n) for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
-    diffs = [g & ~f for f, g in pairs]
-    cones = _chains(_biflag_order(pairs), lambda chain: _proper_union(chain, diffs, full))
+    cones = _chains(_biflag_order(pairs), [g & ~f for f, g in pairs], m.ground)
     return Fan(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
 
 
@@ -346,6 +338,48 @@ def delta_fan(m: Matroid) -> Fan:
 # ---------------------------------------------------------------------------
 
 
+def factor_rows(rows):
+    """(rank, index) of k integer rows g_1..g_k of equal length, such as the
+    generators of a cone, with no rational arithmetic.  G is the matrix with
+    columns g_1..g_k; the index is the gcd of its k x k minors: the index of
+    the lattice the rows span in its saturation at full rank, 0 below it.
+
+    Hermite form under unimodular column operations (Euclid's algorithm on
+    the columns, Cohen GTM 138 §2.4): they reduce G^T to [L | 0] with L
+    lower triangular and keep the gcd of the maximal minors, so the rank is
+    the number of pivots of L and, at full rank, the index is the product of
+    their |values|.
+    """
+    k = len(rows)
+    # rest: the columns of G^T not yet pivots, cut to the rows below the
+    # current one (the rows above are zero there)
+    rest = [list(c) for c in zip(*rows)]
+    rank = 0
+    index = 1
+    for _ in range(k):
+        live = [c for c in rest if c[0]]
+        rest = [c[1:] for c in rest if not c[0]]
+        # subtract multiples of the live column of least |entry| from the
+        # others until it is the only one left nonzero in this row
+        while len(live) > 1:
+            a = min(live, key=lambda c: abs(c[0]))
+            head, tail = a[0], a[1:]
+            nxt = [a]
+            for b in live:
+                if b is not a:
+                    q, r = divmod(b[0], head)
+                    b = [t - q * s for s, t in zip(tail, b[1:])]
+                    if r:
+                        nxt.append([r] + b)
+                    else:
+                        rest.append(b)
+            live = nxt
+        if live:
+            index *= abs(live[0][0])
+            rank += 1
+    return rank, index if rank == k else 0
+
+
 def non_unimodular_cones(fan: Fan):
     """The maximal cones, in fan.maximal order, whose generators are not
     independent or do not extend to a basis of the lattice: those where the
@@ -357,7 +391,7 @@ def non_unimodular_cones(fan: Fan):
     above them, so once every row has a unit pivot the minor on the pivot
     columns is +-1: a witness that the cone is unimodular.  A row that
     reduces to zero makes the cone rank-deficient.  A cone whose next row
-    has no entry +-1 is decided by hermite.factor_rows on its rows.
+    has no entry +-1 is decided by factor_rows on its rows.
 
     A pivot row depends only on the rays up to its own, and fan.maximal is
     sorted by sorted members, so one stack of (ray, pivot column, row)
@@ -381,8 +415,7 @@ def non_unimodular_cones(fan: Fan):
             if -1 in row and 1 not in row:
                 row = [-x for x in row]
             if 1 not in row:
-                f = factor_rows([coords[j] for j in members]) if any(row) else None
-                if f is None or f.rank < len(members) or f.index != 1:
+                if factor_rows([coords[j] for j in members]) != (len(members), 1):
                     bad.append(cone)
                 break
             stack.append((i, row.index(1), row))
@@ -521,9 +554,10 @@ def divisor_incidence(biflats, n: int) -> bool:
     )
     if len(pairs) != len(biflats):
         raise ValueError("biflats must be distinct")
-    return all(_within(b, a) for a, b in zip(pairs, pairs[1:])) and _proper_union(
-        range(len(pairs)), [g & ~f for f, g in pairs], (1 << n) - 1
-    )
+    union = 0
+    for f, g in pairs:
+        union |= g & ~f
+    return all(_within(b, a) for a, b in zip(pairs, pairs[1:])) and union != (1 << n) - 1
 
 
 def fibre_biflats(m: Matroid, flat: int, subset: int):
@@ -580,11 +614,15 @@ def fan_from_json(data) -> Fan:
     """The fan of a plain dict as fan_to_json writes it.  Its cones may be
     any family whose faces are the fan's cones: the members that lie in no
     other member are kept, and an empty family is the origin alone."""
+    # imported here, not at the top: no command reads fan JSON, and the fan
+    # commands compile inputs after fans and matroid (a lower peak RSS)
+    from .inputs import _integers
+
     try:
-        n = int(data["n"])
-        rays = [LatticeVector(r["e"], r["f"]) for r in data["rays"]]
+        (n,) = _integers([data["n"]])
+        rays = [LatticeVector(_integers(r["e"]), _integers(r["f"])) for r in data["rays"]]
         labels = [str(r.get("label", "")) for r in data["rays"]]
-        cones = [frozenset(int(i) for i in c) for c in data["cones"]]
+        cones = [frozenset(_integers(c)) for c in data["cones"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError("bad fan JSON: %s" % exc) from None
     if n < 1:

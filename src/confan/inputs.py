@@ -47,7 +47,11 @@ def matrix_from_json(data) -> Matrix:
     field = data.get("field", "Q")
     p = data.get("p")
     if field == "Fp":
-        if not isinstance(p, int) or not _is_prime(p):
+        try:
+            prime = isinstance(p, int) and _is_prime(p)
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
+        if not prime:
             raise ParseError("field Fp needs a prime 'p'")
     elif field != "Q":
         raise ParseError("field must be 'Q' or 'Fp'")
@@ -76,16 +80,26 @@ def parse_graph_text(text: str):
     return edges
 
 
+def _integers(values):
+    """The values as a tuple, each an int: JSON's 0.5, "1" and true are not,
+    though int() would read them (TypeError)."""
+    values = tuple(values)
+    for x in values:
+        if type(x) is not int:
+            raise TypeError("%r is not an integer" % (x,))
+    return values
+
+
 def bases_from_json(data, max_n: int | None = None) -> Matroid:
     """Matroid of a basis list.  The cap is checked after the basis sizes and
     before the rank table, which takes 2^n steps, validates the bases."""
     from .matroid import Matroid, mask_of
 
     try:
-        n = int(data["n"])
-        bases = [[int(e) for e in b] for b in data["bases"]]
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("bases JSON needs 'n' and 'bases'") from None
+        (n,) = _integers([data["n"]])
+        bases = [_integers(b) for b in data["bases"]]
+    except (KeyError, TypeError) as exc:
+        raise ParseError("bases JSON needs an integer 'n' and integer 'bases': %s" % exc) from None
     if not bases:
         raise ParseError("empty basis list")
     if any(not 1 <= e <= n for b in bases for e in b):

@@ -401,8 +401,7 @@ def minors_rank_and_index(rows, ncols):
 def is_unimodular(fan, cone):
     """Generators are independent and extend to a basis of the lattice: the
     integer factor of the cone's rows (Fan.factor) has full rank and index 1."""
-    f = fan.factor(cone)
-    return f.rank == len(cone) and f.index == 1
+    return fan.factor(cone) == (len(cone), 1)
 
 
 def maps_into_coordinate_fan(fan, cone, block, sign):
@@ -498,9 +497,9 @@ def _check_pure_simplicial(fan):
     """The factor of each maximal cone, in the fan's order, and the fan's
     dimension; every maximal cone must be simplicial, all of one dimension."""
     factors = {c: fan.factor(c) for c in fan.maximal_cones()}
-    if any(f.rank < len(c) for c, f in factors.items()):
+    if any(f[0] < len(c) for c, f in factors.items()):
         raise NotSimplicial("cone with dependent generators")
-    dims = {f.rank for f in factors.values()}
+    dims = {f[0] for f in factors.values()}
     if len(dims) != 1:
         raise NotPure("maximal cones of unequal dimension")
     return factors, dims.pop()

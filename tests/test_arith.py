@@ -6,9 +6,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from confan.arith import (
+    PRIME_TEST_BOUND,
     Fp,
     Matrix,
     MultiPoly,
+    _is_prime,
     det,
     kernel_basis,
     matrix_rank,
@@ -16,7 +18,7 @@ from confan.arith import (
     poly_lead_term,
     solve_exact,
 )
-from confan.hermite import factor_rows
+from confan.fans import factor_rows
 
 from .oracles import cone_coordinates, left_inverse, minors_rank_and_index, naive_det
 
@@ -63,6 +65,42 @@ class TestFp:
         assert (a / b) * b == a
         assert a + Fp(0, 11) == a
         assert b * (1 / b) == Fp(1, 11)
+
+
+def trial_division(p):
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        assert [p for p in range(-3, 20000) if _is_prime(p)] == [
+            p for p in range(-3, 20000) if trial_division(p)
+        ]
+
+    @pytest.mark.parametrize(
+        "n",
+        [
+            561,  # Carmichael
+            2047,  # strong pseudoprime to base 2
+            3215031751,  # to the bases 2, 3, 5 and 7
+            3825123056546413051,  # to every prime base up to 23
+            318665857834031151167461,  # to every prime base up to 37
+            1000000007 * 998244353,
+        ],
+    )
+    def test_strong_pseudoprimes_are_composite(self, n):
+        assert not _is_prime(n)
+
+    @pytest.mark.parametrize("p", [2 ** 31 - 1, 2 ** 61 - 1, 10 ** 18 + 3, 2 ** 79 - 67])
+    def test_large_primes(self, p):
+        assert _is_prime(p)
+
+    def test_bound(self):
+        # the bound is composite: the least strong pseudoprime to every base
+        assert PRIME_TEST_BOUND == 1287836182261 * 2575672364521
+        assert _is_prime(PRIME_TEST_BOUND - 1) is False  # even, and still decided
+        with pytest.raises(ValueError, match="below %d$" % PRIME_TEST_BOUND):
+            _is_prime(PRIME_TEST_BOUND)
 
 
 class TestTermOrder:
@@ -356,8 +394,7 @@ class TestFactorRows:
     @settings(max_examples=300, deadline=None)
     def test_rank_and_index_match_minors_oracle(self, case):
         rows, ncols = case
-        f = factor_rows(rows)
-        assert (f.rank, f.index) == minors_rank_and_index(rows, ncols)
+        assert factor_rows(rows) == minors_rank_and_index(rows, ncols)
 
     def test_index_two_and_dependent_rows(self):
         # (1, 0, 0) and (1, 2, 0) span a sublattice of index 2 in their plane
@@ -369,15 +406,13 @@ class TestFactorRows:
             ([(1, 0, 0), (0, 1, 0), (1, 1, 0)], (2, 0)),
             ([], (0, 1)),
         ]:
-            f = factor_rows(rows)
-            assert (f.rank, f.index) == expected == minors_rank_and_index(rows, 3)
+            assert factor_rows(rows) == expected == minors_rank_and_index(rows, 3)
 
     @given(integer_rows())
     @settings(max_examples=200, deadline=None)
     def test_left_inverse(self, case):
         rows, ncols = case
-        f = factor_rows(rows)
-        if f.rank < len(rows):
+        if factor_rows(rows)[0] < len(rows):
             with pytest.raises(ValueError):
                 left_inverse(rows, ncols)
             return
@@ -393,8 +428,7 @@ class TestFactorRows:
     @settings(max_examples=200, deadline=None)
     def test_membership_matches_solve_exact(self, case, data):
         rows, ncols = case
-        f = factor_rows(rows)
-        if f.rank < len(rows):
+        if factor_rows(rows)[0] < len(rows):
             return
         inverse = left_inverse(rows, ncols)
         d = inverse[1]

@@ -6,8 +6,6 @@ import pytest
 from confan.arith import Fp, Matrix, MultiPoly, poly_lead_term
 from confan.charp import (
     ORDER_NAME,
-    Certificate,
-    certificate_from_json,
     divide_remainder,
     fedder_witness,
     lead_term_certificate,
@@ -89,10 +87,10 @@ def matrix_rank_of_first_block(m):
 class TestLeadTerms:
     def test_square_chord_certificate(self, square_chord_config):
         cert = lead_term_certificate(square_chord_config)
-        assert cert.kind == "InitialIdeal"
-        assert cert.verdict == "pass"
-        assert cert.data["order"] == "x-lex,u-lex"
-        assert cert.data["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
+        assert cert["kind"] == "InitialIdeal"
+        assert cert["verdict"] == "pass"
+        assert cert["order"] == "x-lex,u-lex"
+        assert cert["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
 
     def test_random_standard_forms(self, rng):
         for _ in range(10):
@@ -100,32 +98,32 @@ class TestLeadTerms:
             std, _ = row_reduce_to_standard(c)
             cert = lead_term_certificate(std)
             expected = ["x%d*u%d" % (i + 1, i + 1) for i in range(std.r)]
-            assert cert.data["leads"] == expected
+            assert cert["leads"] == expected
 
     def test_non_standard_form_violates(self):
         # first column of A is zero in row 1, so lead(q1) is not x1*u1
         c = config_new(Matrix(((0, 1, 1), (1, 1, 0))))
         cert = lead_term_certificate(c)
-        assert cert.verdict == "fail"
-        assert cert.reason == "lead of q1 is x2*u1, not x1*u1; reduce to standard form first"
-        assert cert.data["leads"] == ["x2*u1", "x1*u2"]
+        assert cert["verdict"] == "fail"
+        assert cert["reason"] == "lead of q1 is x2*u1, not x1*u1; reduce to standard form first"
+        assert cert["leads"] == ["x2*u1", "x1*u2"]
 
 
 class TestFedder:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_square_chord_witness(self, square_chord_config, p):
         cert = fedder_witness(square_chord_config, p)
-        assert cert.verdict == "pass"
-        assert cert.data["p"] == p
-        assert cert.data["witness_exponent"] == p - 1
+        assert cert["verdict"] == "pass"
+        assert cert["p"] == p
+        assert cert["witness_exponent"] == p - 1
         if p == 2:
-            assert cert.data["witness"] == "x1*x2*x3*u1*u2*u3"
+            assert cert["witness"] == "x1*x2*x3*u1*u2*u3"
 
     def test_u23_witness_p3(self):
         c = config_new(Matrix(((1, 0, 1), (0, 1, 1))))
         cert = fedder_witness(c, 3)
-        assert cert.data["witness"] == "x1^2*x2^2*u1^2*u2^2"
-        assert cert.verdict == "pass"
+        assert cert["witness"] == "x1^2*x2^2*u1^2*u2^2"
+        assert cert["verdict"] == "pass"
 
     def test_fails_off_standard_form(self, square_chord_config):
         # the identity block moved to the back: the leads are not x_i*u_i,
@@ -133,13 +131,13 @@ class TestFedder:
         shuffled = config_new(square_chord_config.a.column_submatrix([3, 4, 0, 1, 2]))
         cert = fedder_witness(shuffled, 3)
         initial = lead_term_certificate(shuffled)
-        assert initial.verdict == cert.verdict == "fail"
-        assert cert.reason == initial.reason == (
+        assert initial["verdict"] == cert["verdict"] == "fail"
+        assert cert["reason"] == initial["reason"] == (
             "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
         )
-        assert cert.data["leads"] == initial.data["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
+        assert cert["leads"] == initial["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
         std, _ = row_reduce_to_standard(shuffled)
-        assert fedder_witness(std, 3).verdict == "pass"
+        assert fedder_witness(std, 3)["verdict"] == "pass"
 
     def test_rank_drop_mod_p_raises(self):
         # the rows agree mod 3, and the rank check comes before column 3,
@@ -157,13 +155,13 @@ class TestFedder:
         with pytest.raises(LeadTermFailure):
             fedder_witness(c, 2)
         # the same configuration is fine at p = 3
-        assert fedder_witness(c, 3).verdict == "pass"
+        assert fedder_witness(c, 3)["verdict"] == "pass"
 
     def test_fp_input_must_match_p(self):
         c = config_new(
             Matrix(((Fp(1, 5), Fp(0, 5), Fp(2, 5)), (Fp(0, 5), Fp(1, 5), Fp(1, 5))))
         )
-        assert fedder_witness(c, 5).verdict == "pass"
+        assert fedder_witness(c, 5)["verdict"] == "pass"
         with pytest.raises(ValueError):
             fedder_witness(c, 3)
 
@@ -220,15 +218,20 @@ class TestSPairs:
 class TestCertificateJson:
     def test_round_trip(self, square_chord_config):
         cert = fedder_witness(square_chord_config, 5)
-        data = json.loads(json.dumps(cert.to_json()))
-        clone = certificate_from_json(data)
-        assert clone == cert
-        assert data["kind"] == "FPurity"
-        assert data["order"] == "x-lex,u-lex"
-        assert data["verdict"] == "pass"
+        assert json.loads(json.dumps(cert)) == cert
+        assert list(cert) == [
+            "kind", "order", "leads", "witness", "p", "witness_exponent", "verdict",
+        ]
+        assert cert["kind"] == "FPurity"
+        assert cert["order"] == "x-lex,u-lex"
+        assert cert["verdict"] == "pass"
 
     def test_initial_ideal_json(self, square_chord_config):
         cert = lead_term_certificate(square_chord_config)
-        data = cert.to_json()
-        assert data["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
-        assert certificate_from_json(data) == cert
+        assert cert == {
+            "kind": "InitialIdeal",
+            "order": "x-lex,u-lex",
+            "leads": ["x1*u1", "x2*u2", "x3*u3"],
+            "verdict": "pass",
+        }
+        assert list(cert) == ["kind", "order", "leads", "verdict"]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -10,12 +11,57 @@ import confan.arith
 import confan.charp
 import confan.config
 import confan.fans
-from confan.charp import certificate_from_json
 from confan.cli import main
 from confan.config import config_new
 from confan.errors import Mismatch
 from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
 from confan.matroid import Matroid
+
+
+# `charp --output json` on the shuffled standard form at p = 3, byte for byte:
+# the two certificates carry their reason after the verdict
+FAILED_CHARP_JSON = """\
+{
+  "command": "charp",
+  "seed": 0,
+  "permutation": [
+    4,
+    5,
+    1,
+    2,
+    3
+  ],
+  "initial": {
+    "kind": "InitialIdeal",
+    "order": "x-lex,u-lex",
+    "leads": [
+      "x1*u1",
+      "x1*u1",
+      "x2*u1"
+    ],
+    "verdict": "fail",
+    "reason": "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
+  },
+  "fpurity": {
+    "kind": "FPurity",
+    "order": "x-lex,u-lex",
+    "leads": [
+      "x1*u1",
+      "x1*u1",
+      "x2*u1"
+    ],
+    "witness": "x1^2*x2^2*x3^2*u1^2*u2^2*u3^2",
+    "p": 3,
+    "witness_exponent": 2,
+    "verdict": "fail",
+    "reason": "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
+  },
+  "failures": [
+    "initial ideal certificate failed: lead of q2 is x1*u1, not x2*u2; reduce to standard form first",
+    "fedder witness failed: lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
+  ]
+}
+"""
 
 
 def run_cli(capsys, *argv):
@@ -110,6 +156,13 @@ class TestMatroidInfo:
         )
         assert code == 0
         assert out.startswith("seed: 7")
+
+    def test_non_integer_bases_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "u24.bases.json"
+        path.write_text('{"n": 4.9, "bases": [[1.5, 2], [1, 3.2], [2, 3]]}')
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert (code, out) == (2, "")
+        assert "4.9 is not an integer" in err
 
 
 class TestPsi:
@@ -427,6 +480,25 @@ class TestCharp:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "p,code",
+        [(2 ** 61 - 1, 0), (1000000007 * 998244353, 2), (3317044064679887385961981, 2)],
+        ids=["mersenne-61", "semiprime", "bound"],
+    )
+    def test_large_p_is_decided_at_once(self, capsys, data_dir, tmp_path, p, code):
+        fp = tmp_path / "fp.json"
+        fp.write_text(json.dumps({"rows": [["1", "0", "1"], ["0", "1", "1"]],
+                                  "field": "Fp", "p": p}))
+        for path in (data_dir / "square_chord.graph", fp):
+            start = time.perf_counter()
+            got, _, err = run_cli(capsys, "charp", str(path), "--p", str(p))
+            assert time.perf_counter() - start < 1
+            assert got == code
+            # a p past the exact range is refused with the bound named
+            assert ("decided below 3317044064679887385961981" in err) == (
+                p >= 3317044064679887385961981
+            )
+
     def test_json_certificates_parse_back(self, capsys, data_dir):
         code, out, _ = run_cli(
             capsys, "charp", str(data_dir / "square_chord.mat.json"),
@@ -434,10 +506,8 @@ class TestCharp:
         )
         assert code == 0
         data = json.loads(out)
-        initial = certificate_from_json(data["initial"])
-        fpurity = certificate_from_json(data["fpurity"])
-        assert initial.verdict == "pass"
-        assert fpurity.data["witness"] == "x1^4*x2^4*x3^4*u1^4*u2^4*u3^4"
+        assert data["initial"]["verdict"] == "pass"
+        assert data["fpurity"]["witness"] == "x1^4*x2^4*x3^4*u1^4*u2^4*u3^4"
 
     def test_graph_input_works(self, capsys, data_dir):
         code, out, _ = run_cli(
@@ -463,14 +533,7 @@ class TestCharp:
         ]
         code, out, _ = run_cli(capsys, *argv, "--output", "json")
         assert code == 3
-        data = json.loads(out)
-        initial = certificate_from_json(data["initial"])
-        assert (initial.verdict, initial.reason) == ("fail", reason)
-        assert initial.data["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
-        assert data["failures"] == [
-            "initial ideal certificate failed: %s" % reason,
-            "fedder witness failed: %s" % reason,
-        ]
+        assert out == FAILED_CHARP_JSON
 
 
 REPO = Path(__file__).resolve().parent.parent

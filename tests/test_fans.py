@@ -1,8 +1,9 @@
 import json
 import random
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
+from operator import or_
 
 import pytest
 
@@ -17,6 +18,7 @@ from confan.fans import (
     Fan,
     LatticeVector,
     _biflag_order,
+    _chains,
     _maximal_chains,
     _within,
     bergman_fan,
@@ -26,6 +28,7 @@ from confan.fans import (
     delta_fan,
     delta_tilde_fan,
     divisor_incidence,
+    factor_rows,
     fan_from_json,
     fan_to_json,
     fibre_fan,
@@ -38,7 +41,6 @@ from confan.fans import (
     square_biflats,
     square_conormal_fan,
 )
-from confan.hermite import factor_rows
 from confan.matroid import (
     dual,
     elements_of,
@@ -337,6 +339,22 @@ class TestMaximalStorage:
         expected = oracles.maximal_by_pairwise_scan([frozenset(c) for c in family])
         assert list(fan.maximal) == sorted(expected, key=sorted)
 
+    def test_chains_stop_where_the_union_fills(self):
+        # 2 < 1 < 0 and 3 < 0, with 2 < 0: the chain 0 > 1 > 2 alone has
+        # diffs covering all of 0b111; the depth-first order is pinned
+        lower, diffs = [[1, 2, 3], [2], [], []], [0b001, 0b010, 0b100, 0b100]
+        kept = [(), (3,), (2,), (1,), (1, 2), (0,), (0, 3), (0, 2), (0, 1)]
+        assert list(_chains(lower, diffs, 0b111)) == kept
+        # zero diffs, as for a flag of flats: every chain
+        assert list(_chains(lower, [0] * 4, 0b111)) == kept + [(0, 1, 2)]
+
+        def proper(chain):
+            return reduce(or_, (diffs[i] for i in chain), 0) != 0b111
+
+        assert {frozenset(c) for c in kept} == oracles.chain_faces(
+            range(4), lambda a, b: a in lower[b], proper
+        )
+
     def test_maximal_chains_of_a_small_family(self):
         # the chains of 2 < 1 < 0 and 3 < 0, with 2 < 0: decreasing tuples
         family = [(), (0,), (1,), (2,), (3,), (0, 1), (0, 2), (1, 2), (0, 3), (0, 1, 2)]
@@ -487,7 +505,7 @@ class TestUnimodular:
         assert non_unimodular_cones(fan) == [frozenset([0, 1])]
         rows = [v.coords() for v in rays]
         assert oracles.minors_rank_and_index(rows, 4) == (2, 2)
-        assert fan.factor(frozenset([0, 1])).index == 2
+        assert fan.factor(frozenset([0, 1])) == (2, 2)
         assert is_unimodular(fan, frozenset([0]))
         assert is_unimodular(fan, frozenset())
         rays_alone = Fan(3, rays, ("a", "b"), [frozenset([0]), frozenset([1])])
@@ -987,6 +1005,14 @@ class TestFanJson:
             {"n": 5, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[0]]},
             {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0, 0]}], "cones": [[0]]},
             {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[1]]},
+            # no integers, though int() reads 2.9 as 2 and 1.7 as 1
+            {"n": 2.9, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[0]]},
+            {"n": True, "rays": [{"e": [0], "f": [1]}], "cones": [[0]]},
+            {"n": 2, "rays": [{"e": [0, 0.5], "f": [1, 0]}], "cones": [[0]]},
+            {"n": 2, "rays": [{"e": [0, True], "f": [1, 0]}], "cones": [[0]]},
+            {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0]}] * 2, "cones": [[1.7]]},
+            {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [[0.0]]},
+            {"n": 2, "rays": [{"e": [0, 1], "f": [1, 0]}], "cones": [["0"]]},
         ]:
             with pytest.raises(ParseError):
                 fan_from_json(data)

@@ -91,6 +91,22 @@ class TestBasesJson:
         with pytest.raises(ParseError, match="basis repeats an element"):
             bases_from_json({"n": 3, "bases": [[1, 2], [3, 3]]})
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"n": 4.9, "bases": [[1.5, 2], [1, 3.2], [2, 3]]},
+            {"n": "4", "bases": [[True, 2], [1, 3], [2, 3]]},
+            {"n": 4, "bases": [[1, 2], [1, 3.0], [2, 3]]},
+            {"n": True, "bases": [[1]]},
+            {"n": 4, "bases": ["12", "13"]},
+        ],
+        ids=["floats", "string-n-and-bool", "integral-float", "bool-n", "strings"],
+    )
+    def test_non_integers_rejected(self, data):
+        # int() would read each of these as n = 4 (or 1) and go on
+        with pytest.raises(ParseError, match="is not an integer"):
+            bases_from_json(data)
+
     def test_error_order_around_the_cap(self):
         # unequal sizes are found before the cap, exchange failures after it
         with pytest.raises(ParseError, match="not a matroid: bases of unequal size"):
