@@ -40,14 +40,13 @@ _EXPORTS = {
         "Fan",
         "LatticeVector",
         "bergman_fan",
-        "cones_off_coordinate_fan",
+        "cones_off_coordinate_fans",
         "delta_fan",
         "delta_tilde_fan",
         "divisor_incidence",
         "fan_from_json",
         "fan_to_json",
         "fibre_fan",
-        "mu_apply",
         "non_unimodular_cones",
         "refines",
         "square_biflats",

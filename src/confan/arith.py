@@ -321,18 +321,6 @@ class Matrix:
     def column_submatrix(self, cols: Sequence[int]) -> "Matrix":
         return Matrix([[row[j] for j in cols] for row in self.rows], ncols=len(cols))
 
-    def matmul(self, other: "Matrix") -> "Matrix":
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        ot = other.transpose()
-        return Matrix(
-            [
-                [sum(a * b for a, b in zip(row, col)) for col in ot.rows]
-                for row in self.rows
-            ],
-            ncols=other.ncols,
-        )
-
     def apply(self, vec: Sequence) -> list:
         if len(vec) != self.ncols:
             raise ValueError("length mismatch")

@@ -12,12 +12,11 @@ from .arith import (
     _is_prime,
     _promote_div,
     _residue,
-    matrix_rank,
     poly_lead_term,
 )
 from .config import (
     Configuration,
-    _check_rank_and_columns,
+    config_new,
     lambda_system,
     psi_det,
     xu_variables,
@@ -88,16 +87,13 @@ def lead_term_certificate(c: Configuration) -> dict:
 
 
 def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
-    """c mod p.  The reduction can lose rank or zero a column, and is checked
-    for both as config_new would; the rank comes from elimination, not from a
-    minor table, which nothing mod p reads."""
+    """c mod p, checked again by config_new: the reduction can lose rank or
+    zero a column."""
     try:
         rows = [[Fp(_residue(x, p), p) for x in row] for row in c.a.rows]
     except ZeroDivisionError as exc:
         raise LeadTermFailure(str(exc)) from None
-    a = Matrix(rows, ncols=c.n)
-    _check_rank_and_columns(a, matrix_rank(a) == c.r)
-    return Configuration(a)
+    return config_new(Matrix(rows, ncols=c.n))
 
 
 def fedder_witness(c: Configuration, p: int) -> dict:

@@ -82,9 +82,6 @@ class BiDegree:
     def __hash__(self):
         return hash(frozenset(self.coeffs.items()))
 
-    def total(self) -> int:
-        return sum(self.coeffs.values())
-
     def __str__(self):
         if not self.coeffs:
             return "0"
@@ -104,12 +101,6 @@ class BiDegree:
 
     def __repr__(self):
         return "BiDegree(%s)" % self
-
-    def to_json(self):
-        return [
-            {"h": i, "hstar": j, "coeff": c}
-            for (i, j), c in sorted(self.coeffs.items(), key=lambda kv: (-kv[0][0], kv[0][1]))
-        ]
 
 
 def chow_bidegree(n: int, r: int) -> BiDegree:
@@ -166,11 +157,6 @@ class BettiTable:
 
     def type(self) -> int:
         return self.rank(len(self.rows) - 1)
-
-    def alternating_sum(self) -> int:
-        return sum(
-            (-1) ** i * self.rank(i) for i in range(len(self.rows))
-        )
 
     def __str__(self):
         lines = []

@@ -147,8 +147,9 @@ def cmd_fan(args, cap):
         # generators are part of a lattice basis
         check("unimodular", "unimodular", fans.non_unimodular_cones(fan))
     if args.verify_maps:
-        check("pi1", "π1", fans.cones_off_coordinate_fan(fan, "first", "plus"))
-        check("minus_pi2", "-π2", fans.cones_off_coordinate_fan(fan, "second", "minus"))
+        off_pi1, off_minus_pi2 = fans.cones_off_coordinate_fans(fan)
+        check("pi1", "π1", off_pi1)
+        check("minus_pi2", "-π2", off_minus_pi2)
     if args.verify_refines:
         # Δ̃ → Δ whatever --which is, certified from Δ̃'s biflats; Δ̃ is the
         # square conormal fan's negative shear

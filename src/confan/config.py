@@ -88,24 +88,19 @@ class Configuration:
 
 
 def config_new(a: Matrix) -> Configuration:
-    """Validate a matrix as a configuration: the rank is the pivot count of
-    its echelon form, which the configuration keeps."""
+    """Validate a matrix as a configuration: 0 < r < n, full row rank (the
+    pivot count of its echelon form, which the configuration keeps), and no
+    zero column."""
     r, n = a.nrows, a.ncols
     if r == 0 or r >= n:
         raise Degenerate("need 0 < r < n, got r=%d n=%d" % (r, n))
     c = Configuration(a)
-    _check_rank_and_columns(a, len(c.echelon[1]) == r)
-    return c
-
-
-def _check_rank_and_columns(a: Matrix, full_rank: bool):
-    """The checks of config_new after the shape: RankDeficient unless
-    full_rank, then HasLoops on the first zero column."""
-    if not full_rank:
-        raise RankDeficient("row rank below %d" % a.nrows)
-    for j in range(a.ncols):
-        if all(not a[i, j] for i in range(a.nrows)):
+    if len(c.echelon[1]) != r:
+        raise RankDeficient("row rank below %d" % r)
+    for j in range(n):
+        if all(not a[i, j] for i in range(r)):
             raise HasLoops("column %d is zero (a loop)" % (j + 1))
+    return c
 
 
 def config_from_graph(edges) -> Configuration:

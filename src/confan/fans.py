@@ -1,7 +1,7 @@
 """Fans in the doubled quotient lattice: Bergman fans, square biflats and the
-square conormal fan, the shear map and its negative, the coarse and fine
-resolution fans, and the structural checks (unimodularity, coordinate-fan
-maps, refinement certificates, divisor incidence, fibre fans).
+square conormal fan, its negative shear, the coarse and fine resolution
+fans, and the structural checks (unimodularity, coordinate-fan maps,
+refinement certificates, divisor incidence, fibre fans).
 
 Lattice model: vectors live in (Z^E / Z*e_E)^2.  A class is stored by the
 unique representative whose minimum entry per block is zero, and exact linear
@@ -27,7 +27,6 @@ from .matroid import (
     dual,
     flats,
     loops_of,
-    parse_subset_label,
     subset_label,
 )
 
@@ -96,18 +95,6 @@ def biflat_ray(fmask: int, gmask: int, n: int) -> LatticeVector:
     return LatticeVector(
         tuple(-x for x in _indicator(fmask, n)), _indicator(gmask, n)
     )
-
-
-def mu_apply(v: LatticeVector, direction: str) -> LatticeVector:
-    """The shear (x,y) -> (x, x+y), or its negative (x,y) -> (-x, -x-y)."""
-    x, y = v.e, v.f
-    if direction == "forward":
-        return LatticeVector(x, tuple(a + b for a, b in zip(x, y)))
-    if direction == "minus":
-        return LatticeVector(
-            tuple(-a for a in x), tuple(-a - b for a, b in zip(x, y))
-        )
-    raise ValueError("direction must be 'forward' or 'minus'")
 
 
 def _faces(members):
@@ -231,8 +218,8 @@ def _bergman_flags(m: Matroid):
     if loops_of(m):
         raise HasLoops("matroid has loops")
     props = [f for f in flats(m) if f not in (0, m.ground)]
-    lower = [[i for i, a in enumerate(props) if a != b and a & b == a] for b in props]
     # a flag of flats is a biflag chain with G = F: every diff is empty
+    lower = _biflag_order([(f, f) for f in props])
     return props, _maximal_chains(_chains(lower, [0] * len(props), m.ground))
 
 
@@ -422,34 +409,32 @@ def non_unimodular_cones(fan: Fan):
     return bad
 
 
-def cones_off_coordinate_fan(fan: Fan, block: str, sign: str):
-    """The maximal cones, in fan.maximal order, whose projection lands in no
-    cone of the coordinate fan.
+def cones_off_coordinate_fans(fan: Fan):
+    """(off_pi1, off_minus_pi2): the maximal cones, in fan.maximal order,
+    whose image under pi1 (the first block), or under -pi2 (the second block
+    negated), lands in no cone of the coordinate fan.
 
-    Project each ray to the chosen block, apply the sign, and take its
-    argmin set as a bitmask, once per ray; a cone lands in a cone of the
-    coordinate fan when the masks of its rays meet, a common minimizing
-    coordinate, since the min inequalities survive nonnegative
-    combinations.  The argmin of the negated block is the argmax of the
-    block.
+    A cone lands in a cone of the coordinate fan when its rays share a
+    minimizing coordinate, since the min inequalities survive nonnegative
+    combinations.  Each ray's argmin of e and argmax of f (the argmin of -f)
+    are taken once, as bitmasks, and ANDed over each cone.
     """
-    if block not in ("first", "second"):
-        raise ValueError("block must be 'first' or 'second'")
-    if sign not in ("plus", "minus"):
-        raise ValueError("sign must be 'plus' or 'minus'")
-    masks = []
+    lows, highs = [], []
     for v in fan.rays:
-        proj = v.e if block == "first" else v.f
-        lo = min(proj) if sign == "plus" else max(proj)
-        masks.append(sum(1 << j for j, x in enumerate(proj) if x == lo))
-    bad = []
+        lo, hi = min(v.e), max(v.f)
+        lows.append(sum(1 << j for j, x in enumerate(v.e) if x == lo))
+        highs.append(sum(1 << j for j, x in enumerate(v.f) if x == hi))
+    off_pi1, off_minus_pi2 = [], []
     for cone in fan.maximal:
-        common = -1  # every coordinate
+        low = high = -1  # every coordinate
         for i in cone:
-            common &= masks[i]
-        if not common:
-            bad.append(cone)
-    return bad
+            low &= lows[i]
+            high &= highs[i]
+        if not low:
+            off_pi1.append(cone)
+        if not high:
+            off_minus_pi2.append(cone)
+    return off_pi1, off_minus_pi2
 
 
 def refines(m: Matroid, fine: Fan):
@@ -579,11 +564,14 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
 
 
 def minus_shear(fan: Fan) -> Fan:
-    """The fan's image under the negative shear (mu_apply "minus"): a copy
+    """The fan's image under the negative shear (x, y) -> (-x, -x-y): a copy
     sharing the labels, maximal cones and ray_data, each ray sheared.  The
     shear is a lattice automorphism, so primitive rays stay primitive."""
     out = copy(fan)
-    out.rays = tuple(mu_apply(v, "minus") for v in fan.rays)
+    out.rays = tuple(
+        LatticeVector([-a for a in v.e], [-a - b for a, b in zip(v.e, v.f)])
+        for v in fan.rays
+    )
     return out
 
 
@@ -641,12 +629,3 @@ def fan_from_json(data) -> Fan:
             maximal.append(c)
             covered.update(_faces(members))
     return Fan(n, rays, labels, maximal)
-
-
-def parse_biflat_label(label: str, n: int):
-    parts = label.split("⊆")
-    if len(parts) != 2:
-        parts = label.split("<=")
-    if len(parts) != 2:
-        raise ParseError("biflat label must look like F⊆G")
-    return parse_subset_label(parts[0], n), parse_subset_label(parts[1], n)

@@ -4,7 +4,8 @@ Formats:
   *.graph       one edge per line, "u v"; '#' starts a comment
   *.bases.json  {"n": int, "bases": [[1-based elements], ...]}
   *.json        {"rows": [["1", "0", "3/4", ...], ...],
-                 "field": "Q" | "Fp", "p": prime}   (field defaults to Q)
+                 "field": "Q" | "Fp", "p": prime}   (field defaults to Q;
+                 "p" is given with Fp only)
 """
 
 from __future__ import annotations
@@ -55,6 +56,8 @@ def matrix_from_json(data) -> Matrix:
             raise ParseError("field Fp needs a prime 'p'")
     elif field != "Q":
         raise ParseError("field must be 'Q' or 'Fp'")
+    elif "p" in data:
+        raise ParseError("'p' needs field 'Fp'")
     rows = data["rows"]
     if not rows or not all(isinstance(r, (list, tuple)) for r in rows):
         raise ParseError("'rows' must be a nonempty list of lists")
@@ -107,7 +110,7 @@ def bases_from_json(data, max_n: int | None = None) -> Matroid:
     if any(len(set(b)) != len(b) for b in bases):
         raise ParseError("basis repeats an element")
     try:
-        m = Matroid(n, [mask_of(b) for b in bases], check=False)
+        m = Matroid(n, [mask_of(b) for b in bases])
         _check_cap(n, max_n)
         m.check_bases()
     except ValueError as exc:

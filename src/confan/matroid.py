@@ -60,6 +60,9 @@ def subset_label(mask: int, n: int) -> str:
 
 
 def parse_subset_label(label: str, n: int) -> int:
+    """Inverse of subset_label; elements may also be separated by commas.
+    For n >= 10 a label with no separator is one element, as subset_label
+    prints a singleton."""
     label = label.strip()
     if label in ("∅", "0", ""):
         return 0
@@ -67,6 +70,8 @@ def parse_subset_label(label: str, n: int) -> int:
         return (1 << n) - 1
     if "." in label or "," in label:
         elements = [int(tok) for tok in label.replace(",", ".").split(".") if tok]
+    elif n >= 10:
+        elements = [int(label)]
     else:
         elements = [int(ch) for ch in label]
     if any(not 1 <= e <= n for e in elements):
@@ -187,11 +192,11 @@ class Matroid:
     r     - rank (common size of all bases)
     bases - frozenset of basis bitmasks
 
-    check=True (the default) validates the bases; the builders from graphs,
-    matrices and uniform parameters pass check=False.
+    The constructor checks only the sizes and the ground set;
+    check_bases validates the bases of a family read from outside.
     """
 
-    def __init__(self, n, bases, check=True):
+    def __init__(self, n, bases):
         if n < 1:
             raise ValueError("ground set must be nonempty")
         bases = frozenset(bases)
@@ -208,8 +213,6 @@ class Matroid:
         self.bases = bases
         self._rank = None
         self._lattice = None
-        if check:
-            self.check_bases()
 
     def rank_table(self) -> bytes:
         """rank_table()[S] is the rank of the subset with bitmask S.
@@ -292,16 +295,17 @@ class Matroid:
 
 
 def matroid_from_bases(n, bases) -> Matroid:
-    """Matroid from explicit bases given as element lists (1-based)."""
-    return Matroid(n, [mask_of(b) for b in bases])
+    """Matroid from explicit bases given as element lists (1-based),
+    validated (check_bases)."""
+    m = Matroid(n, [mask_of(b) for b in bases])
+    m.check_bases()
+    return m
 
 
 def uniform_matroid(r, n) -> Matroid:
     if not 0 < r <= n:
         raise ValueError("uniform matroid needs 0 < r <= n")
-    return Matroid(
-        n, [mask_of(c) for c in combinations(range(1, n + 1), r)], check=False
-    )
+    return Matroid(n, [mask_of(c) for c in combinations(range(1, n + 1), r)])
 
 
 def matroid_from_matrix(a: Matrix, minors: dict | None = None) -> Matroid:
@@ -317,7 +321,7 @@ def matroid_from_matrix(a: Matrix, minors: dict | None = None) -> Matroid:
         minors = maximal_minors(a)
     if not minors:
         raise RankDeficient("row rank below %d" % r)
-    return Matroid(n, minors, check=False)
+    return Matroid(n, minors)
 
 
 def _vertices(edges):
@@ -384,7 +388,7 @@ def matroid_from_graph(edges) -> Matroid:
         raise DisconnectedGraph("graph is not connected")
     if len(vertices) == 1:
         raise Degenerate("single-vertex graph has a rank-0 matroid")
-    return Matroid(len(edges), _spanning_trees(vertices, edges), check=False)
+    return Matroid(len(edges), _spanning_trees(vertices, edges))
 
 
 def rank_of(m: Matroid, s: int) -> int:
@@ -448,7 +452,7 @@ def coloops_of(m: Matroid) -> int:
 
 def dual(m: Matroid) -> Matroid:
     full = m.ground
-    return Matroid(m.n, [full & ~b for b in m.bases], check=False)
+    return Matroid(m.n, [full & ~b for b in m.bases])
 
 
 def _minor(keep: int, rk: int, is_basis) -> Matroid:
@@ -459,7 +463,7 @@ def _minor(keep: int, rk: int, is_basis) -> Matroid:
     for cols in combinations(range(len(kept)), rk):
         if is_basis(mask_of(kept[i] for i in cols)):
             bases.append(mask_of(i + 1 for i in cols))
-    return Matroid(len(kept), bases, check=False)
+    return Matroid(len(kept), bases)
 
 
 def delete(m: Matroid, f: int) -> Matroid:

@@ -342,6 +342,11 @@ def projective_hypersurface_count(poly_eval, dim, q):
     return sum(1 for pt in _projective_reps(dim, q) if poly_eval(pt) % q == 0)
 
 
+def matmul(a, b):
+    """The product of two matrices given as row sequences, as a list of rows."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
 def naive_det(rows):
     """Determinant by explicit permutation expansion. Small matrices only."""
     from itertools import permutations
@@ -395,7 +400,7 @@ def minors_rank_and_index(rows, ncols):
 # ---------------------------------------------------------------------------
 #
 # One cone at a time, each from scratch: the references for the fan-level
-# passes confan.fans.non_unimodular_cones and cones_off_coordinate_fan.
+# passes confan.fans.non_unimodular_cones and cones_off_coordinate_fans.
 
 
 def is_unimodular(fan, cone):
@@ -575,6 +580,14 @@ def psi_by_det(c):
     from confan.config import q_w_matrix
 
     return det(q_w_matrix(c))
+
+
+def parse_biflat_label(label, n):
+    """Inverse of confan.fans.biflat_label: the masks (F, G) of "F⊆G"."""
+    from confan.matroid import parse_subset_label
+
+    f, g = label.split("⊆")
+    return parse_subset_label(f, n), parse_subset_label(g, n)
 
 
 def matrix_to_json(m, field="Q", p=None):

@@ -192,12 +192,7 @@ class TestChowBidegree:
 
     def test_total_is_power_of_two(self):
         for r, n in ((2, 4), (3, 5), (2, 5)):
-            assert chow_bidegree(n, r).total() == 2 ** r
-
-    def test_json_shape(self):
-        data = chow_bidegree(4, 2).to_json()
-        assert all(set(e) == {"h", "hstar", "coeff"} for e in data)
-        assert data[0] == {"h": 4, "hstar": 0, "coeff": 1}
+            assert sum(chow_bidegree(n, r).coeffs.values()) == 2 ** r
 
 
 class TestCohomology:
@@ -242,7 +237,7 @@ class TestBetti:
     def test_euler_characteristic_vanishes(self, r, n):
         t = resolution_betti(n, r)
         assert len(t.rows) == r + 1
-        assert t.alternating_sum() == 0
+        assert sum((-1) ** i * t.rank(i) for i in range(len(t.rows))) == 0
         assert t.type() == r
 
     def test_first_syzygies_count(self):

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -368,6 +369,16 @@ class TestResolveReport:
         )
         assert code == 1
 
+    def test_two_digit_element_of_k5(self, capsys, tmp_path):
+        # n = 10: the label "10" is element 10, as subset_label prints it
+        path = tmp_path / "k5.graph"
+        path.write_text("".join("%d %d\n" % e for e in combinations(range(1, 6), 2)))
+        code, out, _ = run_cli(
+            capsys, "resolve-report", str(path), "--flat", "10", "--subset", "E",
+        )
+        assert code == 0
+        assert "fibre rays (426): 10⊆E, " in out
+
     def test_bad_label_exits_2(self, capsys, data_dir):
         code, _, err = run_cli(
             capsys,
@@ -438,7 +449,8 @@ class TestCharp:
 
     def test_one_elimination_of_the_input_per_run(self, capsys, data_dir, monkeypatch):
         # config_new's rank check, first_basis, the standard form and
-        # psi_det's factor A = A_P R all read the one echelon form
+        # psi_det's factor A = A_P R all read the one echelon form of the
+        # input; config_new checks the reduction mod p by its own
         calls = []
         real = confan.config._rref
 
@@ -446,15 +458,19 @@ class TestCharp:
             calls.append(m)
             return real(m)
 
+        def mod_p(m):
+            return any(isinstance(x, confan.arith.Fp) for row in m.rows for x in row)
+
         monkeypatch.setattr(confan.config, "_rref", counted)
-        for argv, expected in [
-            (["charp", "square_chord.mat.json", "--p", "3", "--strict"], 1),
-            (["psi", "square_chord.mat.json", "--check-det"], 2),
-            (["charp", "square_chord.graph", "--p", "5"], 3),
+        for argv, inputs, reductions in [
+            (["charp", "square_chord.mat.json", "--p", "3", "--strict"], 1, 1),
+            (["psi", "square_chord.mat.json", "--check-det"], 2, 1),
+            (["charp", "square_chord.graph", "--p", "5"], 3, 2),
         ]:
             argv[1] = str(data_dir / argv[1])
             assert run_cli(capsys, *argv)[0] == 0
-            assert len(calls) == expected
+            assert sum(not mod_p(m) for m in calls) == inputs
+            assert sum(map(mod_p, calls)) == reductions
 
     def test_standard_form_with_a_zero_column_mod_p_exits_1(self, capsys, tmp_path):
         path = tmp_path / "loop7.json"

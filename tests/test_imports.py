@@ -23,8 +23,8 @@ PUBLIC = {
     "motivic_class resolution_betti",
     "config": "Configuration config_from_graph config_new lambda_system "
     "psi_basis_expansion psi_det q_w_matrix",
-    "fans": "Fan LatticeVector bergman_fan cones_off_coordinate_fan delta_fan "
-    "delta_tilde_fan divisor_incidence fan_from_json fan_to_json fibre_fan mu_apply "
+    "fans": "Fan LatticeVector bergman_fan cones_off_coordinate_fans delta_fan "
+    "delta_tilde_fan divisor_incidence fan_from_json fan_to_json fibre_fan "
     "non_unimodular_cones refines square_biflats square_conormal_fan",
     "incidence": "Point XRankClass dual_config duality_map hadamard_square "
     "iota_differential_check jacobian_rank nonround_flats on_lambda "
@@ -78,7 +78,7 @@ def loaded_by(*argv, then=""):
 class TestNamespace:
     def test_all_lists_the_public_names(self):
         assert sorted(confan.__all__) == sorted(HOME)
-        assert len(confan.__all__) == len(set(confan.__all__)) == 68
+        assert len(confan.__all__) == len(set(confan.__all__)) == 67
 
     @pytest.mark.parametrize("name", sorted(HOME))
     def test_name_is_its_home_modules_object(self, name):

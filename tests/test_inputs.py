@@ -47,6 +47,12 @@ class TestMatrixJson:
         data = matrix_to_json(m, field="Fp", p=7)
         assert matrix_from_json(data) == m
 
+    def test_rejects_p_without_fp(self):
+        rows = [["1", "0", "1"], ["0", "1", "1"]]
+        for data in ({"rows": rows, "field": "Q", "p": "junk"}, {"rows": rows, "p": 7}):
+            with pytest.raises(ParseError, match="'p' needs field 'Fp'"):
+                matrix_from_json(data)
+
     def test_rejects_nonprime_p(self):
         with pytest.raises(ParseError):
             matrix_from_json({"rows": [["1"]], "field": "Fp", "p": 6})

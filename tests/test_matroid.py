@@ -93,6 +93,12 @@ class TestLabels:
         lbl = subset_label(mask_of([2, 11]), 12)
         assert parse_subset_label(lbl, 12) == mask_of([2, 11])
 
+    @pytest.mark.parametrize("n", [5, 10, 12])
+    def test_every_label_parses_back(self, n):
+        # for n >= 10 a singleton prints with no dot: "10" is element 10
+        for s in range(1 << n):
+            assert parse_subset_label(subset_label(s, n), n) == s
+
     def test_elements_inverse(self):
         assert elements_of(mask_of([3, 5])) == (3, 5)
 
