@@ -39,12 +39,12 @@ def _ground_cap() -> int:
 def cmd_matroid_info(args, cap):
     from .inputs import load_matroid
     from .matroid import (
+        T_MINUS_1,
         char_poly,
         dual,
         flats,
         is_connected,
         loops_of,
-        reduced_char_poly,
         roundness_witnesses,
         subset_label,
     )
@@ -80,7 +80,7 @@ def cmd_matroid_info(args, cap):
     }
     if not loops_of(m):
         chi = char_poly(m)
-        chib = reduced_char_poly(m)
+        chib = chi.div_exact(T_MINUS_1)
         lines.append("chi = %s" % chi)
         lines.append("chi reduced = %s" % chib)
         payload["chi"] = str(chi)

@@ -7,6 +7,7 @@ Conventions: A is r x n with 0 < r < n; matroid elements 1..n are the columns.
 
 from __future__ import annotations
 
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .arith import (
@@ -125,20 +126,14 @@ def config_from_graph(edges) -> Configuration:
 def q_w_matrix(c: Configuration) -> Matrix:
     """The r x r symmetric matrix A diag(x) A^T with polynomial entries."""
     variables = x_variables(c.n)
-    entries = []
-    for i in range(c.r):
-        row = []
-        for j in range(c.r):
-            terms = {}
-            for k in range(c.n):
-                coeff = c.a[i, k] * c.a[j, k]
-                if coeff:
-                    mono = [0] * c.n
-                    mono[k] = 1
-                    terms[tuple(mono)] = coeff
-            row.append(MultiPoly(variables, terms))
-        entries.append(row)
-    return Matrix(entries, ncols=c.r)
+    xs = [tuple(int(t == k) for t in range(c.n)) for k in range(c.n)]
+    return Matrix(
+        [
+            [MultiPoly(variables, dict(zip(xs, map(mul, ri, rj)))) for rj in c.a.rows]
+            for ri in c.a.rows
+        ],
+        ncols=c.r,
+    )
 
 
 def first_basis(c: Configuration) -> tuple:
@@ -182,19 +177,13 @@ def psi_det(c: Configuration) -> MultiPoly:
 
 def lambda_system(c: Configuration) -> tuple:
     """The r bilinear incidence forms q_i = (A diag(x) A^T u)_i, each a
-    MultiPoly in the joint variables x1..xn, u1..ur (xu_variables)."""
+    MultiPoly in the joint variables x1..xn, u1..ur (xu_variables): row i of
+    q_w_matrix with entry j lifted by u_j."""
     variables = xu_variables(c.n, c.r)
-    qs = []
-    for i in range(c.r):
-        terms = {}
-        for j in range(c.r):
-            for k in range(c.n):
-                coeff = c.a[i, k] * c.a[j, k]
-                if coeff:
-                    mono = [0] * (c.n + c.r)
-                    mono[k] = 1
-                    mono[c.n + j] = 1
-                    mono = tuple(mono)
-                    terms[mono] = terms.get(mono, 0) + coeff
-        qs.append(MultiPoly(variables, terms))
-    return tuple(qs)
+    us = [tuple(int(t == j) for t in range(c.r)) for j in range(c.r)]
+    return tuple(
+        MultiPoly(
+            variables, {m + us[j]: k for j, q in enumerate(row) for m, k in q.terms.items()}
+        )
+        for row in q_w_matrix(c).rows
+    )

@@ -143,19 +143,13 @@ class Fan:
         return frozenset(map(frozenset, _face_tuples(self)))
 
     def __eq__(self, other):
+        """Same n, rays, ray labels and maximal cones, in any ray order."""
         if not isinstance(other, Fan):
             return NotImplemented
-        if self.n != other.n or len(self.rays) != len(other.rays):
-            return False
-        if set(self.rays) != set(other.rays):
-            return False
 
         def keyed(fan):
-            order = sorted(range(len(fan.rays)), key=lambda i: (fan.rays[i].e, fan.rays[i].f))
-            back = {old: new for new, old in enumerate(order)}
-            cones = {frozenset(back[i] for i in c) for c in fan.maximal}
-            labels = tuple(fan.labels[i] for i in order)
-            return cones, labels
+            cones = {frozenset(fan.rays[i] for i in c) for c in fan.maximal}
+            return fan.n, len(fan.rays), dict(zip(fan.rays, fan.labels)), cones
 
         return keyed(self) == keyed(other)
 
@@ -247,7 +241,7 @@ def square_biflats(m: Matroid):
                 continue
             if f & g == f:
                 out.append((f, g))
-    out.sort(key=lambda p: (-bin(p[0]).count("1"), p[0], -bin(p[1]).count("1"), p[1]))
+    out.sort(key=lambda p: (-p[0].bit_count(), p[0], -p[1].bit_count(), p[1]))
     return out
 
 
@@ -535,7 +529,7 @@ def divisor_incidence(biflats, n: int) -> bool:
         raise ValueError("empty biflat list")
     pairs = sorted(
         set(biflats),
-        key=lambda p: (-bin(p[0]).count("1"), -bin(p[1]).count("1"), p[0], p[1]),
+        key=lambda p: (-p[0].bit_count(), -p[1].bit_count(), p[0], p[1]),
     )
     if len(pairs) != len(biflats):
         raise ValueError("biflats must be distinct")

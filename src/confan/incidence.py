@@ -1,7 +1,7 @@
-"""The incidence variety of a configuration: the bilinear equations
-A diag(beta) A^T w = 0 at a point, Jacobian ranks over the strata of the
-non-round flats, the coordinatewise square map, the torus duality map to the
-dual configuration, and seeded sampling of points.
+"""The incidence variety of a configuration: the forms of config.lambda_system
+and their Jacobian rank at a point over the strata of the non-round flats, the
+coordinatewise square map, the torus duality map to the dual configuration,
+and seeded sampling of points.
 
 Conventions as in config: w is a length-r vector in row-span coordinates,
 v = A^T w its ambient image, beta a length-n covector.
@@ -22,7 +22,7 @@ from .arith import (
     matrix_rank,
     solve_exact,
 )
-from .config import Configuration, config_new, first_basis
+from .config import Configuration, config_new, first_basis, lambda_system, q_w_matrix
 from .errors import (
     Degenerate,
     NotConnected,
@@ -86,44 +86,35 @@ def span_coordinates(c: Configuration, p: Point):
     return w
 
 
-def _incidence_residual(c: Configuration, p: Point):
+def _xu_point(c: Configuration, p: Point) -> list:
+    """(beta, w): the point in the variables x, u of the incidence forms."""
     if p.beta is None:
         raise ValueError("point carries no beta")
-    v = ambient_vector(c, p)
-    scaled = [b * x for b, x in zip(p.beta, v)]
-    return c.a.apply(scaled)
+    return list(p.beta) + span_coordinates(c, p)
 
 
 def on_lambda(c: Configuration, p: Point) -> bool:
-    """Whether A diag(beta) A^T w vanishes."""
-    return all(not entry for entry in _incidence_residual(c, p))
-
-
-def _gram(c: Configuration, beta) -> list:
-    """The rows of the r x r matrix A diag(beta) A^T."""
-    return [
-        [sum(c.a[i, k] * beta[k] * c.a[j, k] for k in range(c.n)) for j in range(c.r)]
-        for i in range(c.r)
-    ]
+    """Whether every incidence form vanishes at (beta, w)."""
+    point = _xu_point(c, p)
+    return all(not q.evaluate(point) for q in lambda_system(c))
 
 
 def jacobian_rank(c: Configuration, p: Point) -> int:
-    """Exact rank of the r x (r+n) matrix (A diag(beta) A^T | A diag(A^T w))."""
-    if p.beta is None:
-        raise ValueError("point carries no beta")
-    v = ambient_vector(c, p)
+    """Exact rank of the Jacobian of the incidence forms at (beta, w); its
+    columns (x, then u) are those of (A diag(A^T w) | A diag(beta) A^T)."""
+    point = _xu_point(c, p)
     rows = [
-        left + [c.a[i, k] * v[k] for k in range(c.n)]
-        for i, left in enumerate(_gram(c, p.beta))
+        [q.diff(k).evaluate(point) for k in range(c.n + c.r)] for q in lambda_system(c)
     ]
-    return matrix_rank(Matrix(rows, ncols=c.r + c.n))
+    return matrix_rank(Matrix(rows, ncols=c.n + c.r))
 
 
 def x_rank_class(c: Configuration, beta) -> XRankClass:
-    """Classify beta by the rank of A diag(beta) A^T."""
+    """Classify beta by the rank of q_w_matrix at beta."""
     if all(not b for b in beta):
         raise ZeroVector("beta must be nonzero")
-    rk = matrix_rank(Matrix(_gram(c, beta), ncols=c.r))
+    gram = [[q.evaluate(beta) for q in row] for row in q_w_matrix(c).rows]
+    rk = matrix_rank(Matrix(gram, ncols=c.r))
     if rk == c.r:
         return XRankClass.OFF_X
     if rk == c.r - 1:
@@ -198,13 +189,8 @@ def iota_differential_check(c: Configuration, w, beta) -> bool:
             },
         )
         g = g + lin * lin * beta[j]
-    v = c.a.transpose().apply(w)
-    pairing = c.a.apply([b * x for b, x in zip(beta, v)])
-    for i in range(c.r):
-        left = g.diff(i).evaluate(w)
-        if left != 2 * pairing[i]:
-            return False
-    return True
+    pairing = [q.evaluate(list(beta) + list(w)) for q in lambda_system(c)]
+    return all(g.diff(i).evaluate(w) == 2 * pairing[i] for i in range(c.r))
 
 
 # ---------------------------------------------------------------------------

@@ -61,19 +61,20 @@ def subset_label(mask: int, n: int) -> str:
 
 def parse_subset_label(label: str, n: int) -> int:
     """Inverse of subset_label; elements may also be separated by commas.
-    For n >= 10 a label with no separator is one element, as subset_label
+    A label is ∅, E, or ASCII digit tokens with one "." or "," between two;
+    for n >= 10 a label with no separator is one element, as subset_label
     prints a singleton."""
     label = label.strip()
-    if label in ("∅", "0", ""):
+    if label == "∅":
         return 0
     if label == "E":
         return (1 << n) - 1
-    if "." in label or "," in label:
-        elements = [int(tok) for tok in label.replace(",", ".").split(".") if tok]
-    elif n >= 10:
-        elements = [int(label)]
-    else:
-        elements = [int(ch) for ch in label]
+    tokens = label.replace(",", ".").split(".")
+    if not all(tok.isascii() and tok.isdigit() for tok in tokens):
+        raise ValueError("not a subset label: %r" % label)
+    if len(tokens) == 1 and n <= 9:
+        tokens = list(label)
+    elements = [int(tok) for tok in tokens]
     if any(not 1 <= e <= n for e in elements):
         raise ValueError("element out of range in %r" % label)
     return mask_of(elements)

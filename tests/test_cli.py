@@ -379,6 +379,25 @@ class TestResolveReport:
         assert code == 0
         assert "fibre rays (426): 10⊆E, " in out
 
+    @pytest.mark.parametrize("flat", ["1.+2.4", "1,,2", "0", ""])
+    def test_label_subset_label_never_prints_exits_2(self, capsys, data_dir, flat):
+        code, out, _ = run_cli(
+            capsys,
+            "resolve-report",
+            str(data_dir / "square_chord.graph"),
+            "--flat", flat,
+            "--subset", "E",
+        )
+        assert (code, out) == (2, "")
+
+    def test_underscore_in_k5_label_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "k5.graph"
+        path.write_text("".join("%d %d\n" % e for e in combinations(range(1, 6), 2)))
+        code, out, _ = run_cli(
+            capsys, "resolve-report", str(path), "--flat", "1_0", "--subset", "E",
+        )
+        assert (code, out) == (2, "")
+
     def test_bad_label_exits_2(self, capsys, data_dir):
         code, _, err = run_cli(
             capsys,

@@ -44,8 +44,10 @@ from confan.incidence import (
     span_coordinates,
     x_rank_class,
 )
+from confan.inputs import load_configuration
 from confan.matroid import (
     elements_of,
+    flats,
     mask_of,
     matroid_from_matrix,
     rank_of,
@@ -327,6 +329,54 @@ class TestWitnesses:
                 )
                 hi = rank_of(m, (support & flat) | rest)
                 assert lo <= jac <= hi
+
+
+class TestIncidenceForms:
+    """jacobian_rank and on_lambda read the forms of lambda_system; here they
+    are checked against the block matrix written out, over Q and F_7."""
+
+    @pytest.fixture(params=["square_chord", "k4", "f7"])
+    def config(self, request, square_chord_config, data_dir):
+        if request.param == "square_chord":
+            return square_chord_config
+        if request.param == "k4":
+            return config_from_graph(combinations(range(4), 2))
+        return load_configuration(str(data_dir / "f7_3x7.mat.json"))
+
+    def points(self, c, seed):
+        # every proper flat's stratum, the singular witnesses, the torus, and
+        # w = 0 with a sparse beta, where the rank is that of beta's support
+        rng = random.Random(seed)
+        proper = [f for f in flats(c.matroid) if f != c.matroid.ground]
+        pts = [sample_stratum_point(c, f, rng) for f in proper for _ in range(2)]
+        pts += [singular_witness(c, f) for f in nonround_flats(c)]
+        pts += [sample_torus_point(c, rng) for _ in range(5)]
+        for _ in range(3):
+            beta = [rng.choice((0, 0, 1, -2)) for _ in range(c.n)]
+            pts.append(Point(w=[0] * c.r, beta=beta))
+        return pts
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_jacobian_is_the_block_matrix(self, config, seed):
+        a, r, n = config.a, config.r, config.n
+        for p in self.points(config, seed):
+            v = a.transpose().apply(p.w)
+            rows = [
+                [sum(a[i, k] * p.beta[k] * a[j, k] for k in range(n)) for j in range(r)]
+                + [a[i, k] * v[k] for k in range(n)]
+                for i in range(r)
+            ]
+            assert on_lambda(config, p)
+            assert on_lambda(config, Point(v=v, beta=p.beta))
+            expected = matrix_rank(Matrix(rows, ncols=r + n))
+            assert jacobian_rank(config, p) == expected
+            assert jacobian_rank(config, Point(v=v, beta=p.beta)) == expected
+
+    def test_beta_checked_before_coordinates(self, square_chord_config):
+        with pytest.raises(ValueError, match="no beta"):
+            on_lambda(square_chord_config, Point())
+        with pytest.raises(ValueError, match="no beta"):
+            jacobian_rank(square_chord_config, Point(v=[1, 0, 0, 0, 1]))
 
 
 class TestHadamard:

@@ -963,6 +963,22 @@ class TestFanJson:
         clone = fan_from_json(json.loads(json.dumps(data)))
         assert clone == fan
 
+    def test_equality_ignores_ray_order(self, square_chord_bases):
+        fan = delta_tilde_fan(square_chord(square_chord_bases))
+        perm = list(range(len(fan.rays)))
+        random.Random(5).shuffle(perm)
+        where = {old: new for new, old in enumerate(perm)}
+        shuffled = Fan(
+            fan.n,
+            [fan.rays[i] for i in perm],
+            [fan.labels[i] for i in perm],
+            [frozenset(where[i] for i in c) for c in fan.maximal],
+        )
+        assert shuffled == fan and hash(shuffled) == hash(fan)
+        relabelled = Fan(fan.n, fan.rays, fan.labels[1:] + fan.labels[:1], fan.maximal)
+        assert relabelled != fan
+        assert Fan(fan.n + 1, fan.rays, fan.labels, fan.maximal) != fan
+
     def test_schema_shape(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
         data = fan_to_json(fan)

@@ -99,6 +99,19 @@ class TestLabels:
         for s in range(1 << n):
             assert parse_subset_label(subset_label(s, n), n) == s
 
+    @pytest.mark.parametrize(
+        "label, n",
+        [("1.+2.4", 5), ("1_0", 10), ("1,,2", 5), ("0", 5), ("", 5), ("0", 12),
+         (".1", 5), ("1.", 5), ("1 2", 5), ("²", 5), ("١", 5)],
+    )
+    def test_rejects_what_subset_label_never_prints(self, label, n):
+        with pytest.raises(ValueError):
+            parse_subset_label(label, n)
+
+    def test_commas_and_dots_separate(self):
+        assert parse_subset_label("1,2.4", 5) == mask_of([1, 2, 4])
+        assert parse_subset_label("2.11", 12) == mask_of([2, 11])
+
     def test_elements_inverse(self):
         assert elements_of(mask_of([3, 5])) == (3, 5)
 
