@@ -541,18 +541,20 @@ def _clear_row(row: Sequence[Fraction]) -> list:
 def kernel_basis(m: Matrix) -> Matrix:
     """Rows form a basis of the right kernel of m.
 
-    Over the rationals the rows come back integer-cleared and content-free.
+    Over the rationals the rows come back integer-cleared and content-free;
+    over F_p every entry is an Fp.
     """
     rows, pivots = _rref(m)
     free = [j for j in range(m.ncols) if j not in pivots]
     basis = []
-    rational = not any(isinstance(x, Fp) for row in m.rows for x in row)
+    p = next((x.p for row in m.rows for x in row if isinstance(x, Fp)), None)
+    zero, one = (0, 1) if p is None else (Fp(0, p), Fp(1, p))
     for j in free:
-        v = [0] * m.ncols
-        v[j] = 1
+        v = [zero] * m.ncols
+        v[j] = one
         for i, pj in enumerate(pivots):
             v[pj] = -rows[i][j]
-        if rational:
+        if p is None:
             v = _clear_row(v)
         basis.append(v)
     return Matrix(basis, ncols=m.ncols)

@@ -121,21 +121,19 @@ class Fan:
     maximal  - tuple of the inclusion-maximal cones, frozensets of ray
                indices sorted by their sorted members; the trivial fan keeps
                the origin (the empty set)
-    ray_data - optional tuple of (F, G) mask pairs when rays index biflats
 
     The maximal cones are kept as given, none inside another, and only
     sorted: the chain builders reduce their families with _maximal_chains,
     and fan_from_json reduces a family read from outside.
     """
 
-    __slots__ = ("n", "rays", "labels", "maximal", "ray_data")
+    __slots__ = ("n", "rays", "labels", "maximal")
 
-    def __init__(self, n, rays, labels, maximal, ray_data=None):
+    def __init__(self, n, rays, labels, maximal):
         self.n = n
         self.rays = tuple(rays)
         self.labels = tuple(labels)
         self.maximal = tuple(sorted(maximal, key=sorted))
-        self.ray_data = None if ray_data is None else tuple(ray_data)
 
     @property
     def cones(self):
@@ -280,7 +278,7 @@ def _biflag_fan(m: Matroid, pairs) -> Fan:
     rays = [biflat_ray(f, g, n) for f, g in pairs]
     labels = [biflat_label(p, n) for p in pairs]
     cones = _chains(_biflag_order(pairs), [g & ~f for f, g in pairs], m.ground)
-    return Fan(n, rays, labels, _maximal_chains(cones), ray_data=pairs)
+    return Fan(n, rays, labels, _maximal_chains(cones))
 
 
 def square_conormal_fan(m: Matroid) -> Fan:
@@ -432,17 +430,18 @@ def cones_off_coordinate_fans(fan: Fan):
 
 
 def refines(m: Matroid, fine: Fan):
-    """None when fine, read through its ray_data as the fine fan of m (as
-    delta_tilde_fan builds it), refines delta_fan(m), which is never built;
-    otherwise a short witness of the first check that fails.
+    """None when fine, each ray read as its biflat, is the fine fan of m (as
+    delta_tilde_fan builds it) and refines delta_fan(m), which is never
+    built; otherwise a short witness of the first check that fails.
 
     The coarse generators of a flat F of m and of a flat G of its dual are
     (e_F, e_F) and (0, -e_G).  Their sum is the ray (e_F, -e_(G minus F)) of
     the biflat (F, G), so that ray lies in the cone of the flag pair (Fs, Gs)
     exactly when F is empty or in Fs and G is E or in Gs: Bergman-cone
     membership (Ardila-Klivans 2006).  The checks, in order:
-    - each ray is the ray of its biflat (F, G), with F a flat of
-      m, G a flat of the dual and F within G;
+    - each ray is (e_F, -e_D), F where e is 1 and D where f is 0 (empty
+      when f is 0 throughout), with F, D disjoint, G = F + D nonempty, F a
+      flat of m and G a flat of the dual;
     - each maximal cone is a biflag chain of n - 2 rays whose nonempty Fs
       and whose Gs other than E are maximal cones of the two Bergman fans:
       its home.  In the home's generators each ray is 1 on its F and its G
@@ -454,22 +453,24 @@ def refines(m: Matroid, fine: Fan):
       compared apart, since one mask can be a flat of both m and its dual.
     """
     n, full = m.n, m.ground
-    pairs = fine.ray_data
-    if pairs is None or len(pairs) != len(fine.rays):
-        return "the rays carry no biflats"
     d = dual(m)
     m_flats, d_flats = flats(m), flats(d)
-    for i, (f, g) in enumerate(pairs):
-        ray = LatticeVector(_indicator(f, n), [-x for x in _indicator(g & ~f, n)])
+    pairs = []
+    for i, ray in enumerate(fine.rays):
+        f = sum(1 << j for j, x in enumerate(ray.e) if x == 1)
+        diff = sum(1 << j for j, x in enumerate(ray.f) if x == 0) if any(ray.f) else 0
+        g = f | diff
         bad = (
-            "is not (e_F, -e_(G minus F))" if fine.rays[i] != ray
+            "is not (e_F, -e_(G minus F))" if f & diff
+            or ray != LatticeVector(_indicator(f, n), [-x for x in _indicator(diff, n)])
+            else "G is empty" if not g
             else "F is not a flat of M" if f not in m_flats
             else "G is not a flat of M*" if g not in d_flats
-            else "F is not within G" if f & ~g
             else None
         )
         if bad:
-            return "ray %d (%s): %s" % (i, biflat_label(pairs[i], n), bad)
+            return "ray %d (%s): %s" % (i, biflat_label((f, g), n), bad)
+        pairs.append((f, g))
 
     # each maximal flag of M and of M* as the set of its flat masks
     m_flags, d_flags = (
@@ -559,7 +560,7 @@ def fibre_fan(m: Matroid, flat: int, subset: int) -> Fan:
 
 def minus_shear(fan: Fan) -> Fan:
     """The fan's image under the negative shear (x, y) -> (-x, -x-y): a copy
-    sharing the labels, maximal cones and ray_data, each ray sheared.  The
+    sharing the labels and maximal cones, each ray sheared.  The
     shear is a lattice automorphism, so primitive rays stay primitive."""
     out = copy(fan)
     out.rays = tuple(

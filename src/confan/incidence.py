@@ -3,14 +3,15 @@ and their Jacobian rank at a point over the strata of the non-round flats, the
 coordinatewise square map, the torus duality map to the dual configuration,
 and seeded sampling of points.
 
-Conventions as in config: w is a length-r vector in row-span coordinates,
-v = A^T w its ambient image, beta a length-n covector.
+Conventions as in config: a point is (v, beta), v = A^T w a length-n vector
+in the row span, w its length-r row-span coordinates, beta a length-n covector.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from random import Random
+from typing import NamedTuple
 
 from .arith import (
     Fp,
@@ -32,24 +33,12 @@ from .errors import (
 )
 
 
-class Point:
-    """
-    Point data for the incidence equations.
+class Point(NamedTuple):
+    """A point (v, beta) for the incidence equations: v a length-n vector in
+    the row span of the configuration, beta a length-n covector."""
 
-    w    - length-r vector in row-span coordinates (optional)
-    v    - length-n ambient vector, v = A^T w (optional)
-    beta - length-n covector (optional)
-    """
-
-    __slots__ = ("w", "v", "beta")
-
-    def __init__(self, w=None, v=None, beta=None):
-        self.w = None if w is None else list(w)
-        self.v = None if v is None else list(v)
-        self.beta = None if beta is None else list(beta)
-
-    def __repr__(self):
-        return "Point(w=%r, v=%r, beta=%r)" % (self.w, self.v, self.beta)
+    v: list
+    beta: list
 
 
 class XRankClass(Enum):
@@ -66,31 +55,17 @@ def _zero_mask(vec) -> int:
     return mask
 
 
-def ambient_vector(c: Configuration, p: Point):
-    """v = A^T w; computed from w, or validated from p.v (must lie in the row span)."""
-    if p.w is not None:
-        return c.a.transpose().apply(p.w)
-    span_coordinates(c, p)
-    return list(p.v)
-
-
-def span_coordinates(c: Configuration, p: Point):
-    """w with A^T w = v; the given w when present."""
-    if p.w is not None:
-        return list(p.w)
-    if p.v is None:
-        raise ValueError("point carries neither w nor v")
-    w = solve_exact(c.a.transpose(), p.v)
-    if w is None or c.a.transpose().apply(w) != list(p.v):
+def span_coordinates(c: Configuration, v) -> list:
+    """The w with A^T w = v; NotOnLambda when v is off the row span."""
+    w = solve_exact(c.a.transpose(), v)
+    if w is None:
         raise NotOnLambda("v is not in the row span of the configuration")
     return w
 
 
 def _xu_point(c: Configuration, p: Point) -> list:
     """(beta, w): the point in the variables x, u of the incidence forms."""
-    if p.beta is None:
-        raise ValueError("point carries no beta")
-    return list(p.beta) + span_coordinates(c, p)
+    return list(p.beta) + span_coordinates(c, p.v)
 
 
 def on_lambda(c: Configuration, p: Point) -> bool:
@@ -159,14 +134,12 @@ def dual_config(c: Configuration) -> Configuration:
 
 def duality_map(c: Configuration, p: Point) -> Point:
     """(v, beta) -> (beta v coordinatewise, 1/beta); lands on the dual incidence variety."""
-    if p.beta is None or any(not b for b in p.beta):
+    if any(not b for b in p.beta):
         raise ZeroCoordinate("duality needs all beta coordinates nonzero")
-    v = ambient_vector(c, p)
     if not on_lambda(c, p):
         raise NotOnLambda("point does not satisfy the incidence equations")
-    image_v = [b * x for b, x in zip(p.beta, v)]
-    image_beta = [_promote_div(1, b) for b in p.beta]
-    return Point(v=image_v, beta=image_beta)
+    image_v = [b * x for b, x in zip(p.beta, p.v)]
+    return Point(image_v, [_promote_div(1, b) for b in p.beta])
 
 
 def iota_differential_check(c: Configuration, w, beta) -> bool:
@@ -242,7 +215,7 @@ def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
         if _zero_mask(v) == flat:
             beta = [0] * c.n
             beta[j - 1] = 1
-            return Point(w=w, v=v, beta=beta)
+            return Point(v, beta)
     raise ValueError("could not hit the open stratum; flat may be misidentified")
 
 
@@ -263,7 +236,7 @@ def sample_stratum_point(c: Configuration, flat: int, rng: Random) -> Point:
         for _ in range(1000):
             beta = _random_combination(list(beta_space.rows), rng)
             if any(beta):
-                return Point(w=w, v=v, beta=beta)
+                return Point(v, beta)
     raise ValueError("sampling failed to hit the stratum")
 
 
@@ -280,5 +253,5 @@ def sample_torus_point(c: Configuration, rng: Random) -> Point:
             gamma = c0.transpose().apply(zp)
             if all(gamma):
                 beta = [_promote_div(g, x) for g, x in zip(gamma, v)]
-                return Point(w=z, v=v, beta=beta)
+                return Point(v, beta)
     raise ValueError("sampling failed to find a torus point")

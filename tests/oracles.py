@@ -431,10 +431,10 @@ def maps_into_coordinate_fan(fan, cone, block, sign):
 # ---------------------------------------------------------------------------
 #
 # The generic certificate for any pair of simplicial fans: it reads their
-# geometry alone (rays and maximal cones, never ray_data), by integer left
-# inverses and barycentric coordinates.  It is the reference for
-# confan.fans.refines, which certifies the fine fan over the coarse one from
-# the biflats instead.  Its simplicial check reads the library's integer
+# rays and maximal cones as vectors and cones, by integer left inverses and
+# barycentric coordinates.  It is the reference for confan.fans.refines,
+# which certifies the fine fan over the coarse one from the biflat each ray
+# encodes instead.  Its simplicial check reads the library's integer
 # factor of each cone (Fan.factor).
 
 

@@ -273,9 +273,7 @@ class TestFan:
         # cone's flag pair now bounds one cone instead of two
         def dropped(m):
             fine = delta_tilde_fan(m)
-            return Fan(
-                fine.n, fine.rays, fine.labels, fine.maximal[1:], ray_data=fine.ray_data
-            )
+            return Fan(fine.n, fine.rays, fine.labels, fine.maximal[1:])
 
         monkeypatch.setattr(confan.fans, "delta_tilde_fan", dropped)
         witness = "facet {124⊆E, 1⊆1} in home 1⊂124 | 1: count 1, not 2"

@@ -30,7 +30,6 @@ from confan.errors import (
 from confan.incidence import (
     Point,
     XRankClass,
-    ambient_vector,
     dual_config,
     duality_map,
     hadamard_square,
@@ -306,7 +305,9 @@ class TestWitnesses:
         p124 = singular_witness(square_chord_config, mask_of([1, 2, 4]))
         p135 = singular_witness(square_chord_config, mask_of([1, 3, 5]))
         assert p124.beta == [1, 0, 0, 0, 0] and p135.beta == [1, 0, 0, 0, 0]
-        assert p124.w == [0, 0, 1] and p135.w == [0, 1, 0]
+        # v = A^T w at w = (0, 0, 1) and (0, 1, 0)
+        at = square_chord_config.a.transpose()
+        assert p124.v == at.apply([0, 0, 1]) and p135.v == at.apply([0, 1, 0])
 
     def test_smooth_at_generic_stratum(self, square_chord_config, rng):
         # over the empty flat the fibre is generic: full jacobian rank
@@ -353,30 +354,31 @@ class TestIncidenceForms:
         pts += [sample_torus_point(c, rng) for _ in range(5)]
         for _ in range(3):
             beta = [rng.choice((0, 0, 1, -2)) for _ in range(c.n)]
-            pts.append(Point(w=[0] * c.r, beta=beta))
+            pts.append(Point([0] * c.n, beta))
         return pts
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_jacobian_is_the_block_matrix(self, config, seed):
         a, r, n = config.a, config.r, config.n
         for p in self.points(config, seed):
-            v = a.transpose().apply(p.w)
             rows = [
                 [sum(a[i, k] * p.beta[k] * a[j, k] for k in range(n)) for j in range(r)]
-                + [a[i, k] * v[k] for k in range(n)]
+                + [a[i, k] * p.v[k] for k in range(n)]
                 for i in range(r)
             ]
             assert on_lambda(config, p)
-            assert on_lambda(config, Point(v=v, beta=p.beta))
-            expected = matrix_rank(Matrix(rows, ncols=r + n))
-            assert jacobian_rank(config, p) == expected
-            assert jacobian_rank(config, Point(v=v, beta=p.beta)) == expected
+            assert jacobian_rank(config, p) == matrix_rank(Matrix(rows, ncols=r + n))
 
-    def test_beta_checked_before_coordinates(self, square_chord_config):
-        with pytest.raises(ValueError, match="no beta"):
-            on_lambda(square_chord_config, Point())
-        with pytest.raises(ValueError, match="no beta"):
-            jacobian_rank(square_chord_config, Point(v=[1, 0, 0, 0, 1]))
+    def test_v_off_the_row_span_is_refused(self, square_chord_config):
+        # A^T w = (w1, w2, w3, w1 + w2, w1 + w3): the row span is cut out by
+        # v4 = v1 + v2 and v5 = v1 + v3; (1, 0, 0, 0, 1) breaks the first and
+        # [7] * 5 both
+        for v in ([1, 0, 0, 0, 1], [7] * 5):
+            p = Point(v, [1, 1, 1, 1, 1])
+            with pytest.raises(NotOnLambda):
+                on_lambda(square_chord_config, p)
+            with pytest.raises(NotOnLambda):
+                jacobian_rank(square_chord_config, p)
 
 
 class TestHadamard:
@@ -436,18 +438,16 @@ class TestDuality:
             duality_map(square_chord_config, p)
 
     def test_ambient_and_span_coordinates(self, square_chord_config, rng):
+        # the ambient v of a point and its row-span coordinates w, both ways
+        at = square_chord_config.a.transpose()
         p = sample_torus_point(square_chord_config, rng)
-        v = ambient_vector(square_chord_config, p)
-        assert v == square_chord_config.a.transpose().apply(p.w)
-        w2 = span_coordinates(square_chord_config, Point(v=v, beta=p.beta))
-        assert list(w2) == list(p.w)
+        assert at.apply(span_coordinates(square_chord_config, p.v)) == p.v
+        w = [rng.randint(-5, 5) for _ in range(3)]
+        assert span_coordinates(square_chord_config, at.apply(w)) == w
 
     def test_span_coordinates_rejects_off_space(self, square_chord_config):
-        bad = Point(v=[1, 0, 0, 0, 1], beta=[1, 1, 1, 1, 1])
         with pytest.raises(NotOnLambda):
-            span_coordinates(square_chord_config, bad)
-        with pytest.raises(NotOnLambda):
-            ambient_vector(square_chord_config, bad)
+            span_coordinates(square_chord_config, [1, 0, 0, 0, 1])
 
 
 class TestIota:
@@ -487,7 +487,18 @@ class TestSampling:
             assert zero == flat
             assert on_lambda(square_chord_config, p)
 
+    def test_fp_points_stay_in_the_field(self, data_dir):
+        # every coordinate an Fp, none an int that is 0 mod p unnoticed
+        c = load_configuration(str(data_dir / "f7_3x7.mat.json"))
+        rng = random.Random(0)
+        proper = [f for f in flats(c.matroid) if f != c.matroid.ground]
+        pts = [sample_stratum_point(c, f, rng) for f in proper]
+        torus = [sample_torus_point(c, rng) for _ in range(20)]
+        for p in pts + torus:
+            assert all(isinstance(x, Fp) for x in p.v + p.beta)
+        assert all(all(p.beta) and all(p.v) for p in torus)
+
     def test_deterministic_under_seed(self, square_chord_config):
         a = sample_torus_point(square_chord_config, random.Random(5))
         b = sample_torus_point(square_chord_config, random.Random(5))
-        assert a.w == b.w and a.beta == b.beta
+        assert a.v == b.v and a.beta == b.beta

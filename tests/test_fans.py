@@ -46,7 +46,6 @@ from confan.matroid import (
     mask_of,
     matroid_from_bases,
     matroid_from_graph,
-    parse_subset_label,
     uniform_matroid,
 )
 
@@ -222,19 +221,21 @@ class TestSquareConormal:
         assert sorted(fan.labels) == sorted(SQUARE_CHORD_BIFLAT_LABELS)
 
     def test_ray_rule(self, square_chord_bases):
-        fan = square_conormal_fan(square_chord(square_chord_bases))
+        m = square_chord(square_chord_bases)
+        fan = square_conormal_fan(m)
         _, vector = oracles.fan_faces("square-conormal", 5, square_chord_bases)
-        for (fmask, gmask), ray in zip(fan.ray_data, fan.rays):
+        for (fmask, gmask), ray in zip(square_biflats(m), fan.rays):
             assert ray == biflat_ray(fmask, gmask, 5)
             key = frozenset(elements_of(fmask)), frozenset(elements_of(gmask))
             assert (ray.e, ray.f) == vector[key]
 
     def test_cones_are_pruned_chains(self, square_chord_bases):
-        fan = square_conormal_fan(square_chord(square_chord_bases))
+        m = square_chord(square_chord_bases)
+        fan, biflats = square_conormal_fan(m), square_biflats(m)
         full = mask_of(range(1, 6))
         for cone in fan.maximal_cones():
             pairs = sorted(
-                (fan.ray_data[i] for i in cone),
+                (biflats[i] for i in cone),
                 key=lambda p: (bin(p[0]).count("1"), bin(p[1]).count("1")),
                 reverse=True,
             )
@@ -396,11 +397,11 @@ class TestDeltaFans:
 
     def test_delta_tilde_ray_rule(self, square_chord_bases):
         # rays of the image fan are e_F - f_{G minus F}
-        src = square_conormal_fan(square_chord(square_chord_bases))
-        fan = delta_tilde_fan(square_chord(square_chord_bases))
+        m = square_chord(square_chord_bases)
+        src, fan = square_conormal_fan(m), delta_tilde_fan(m)
         _, vector = oracles.fan_faces("delta-tilde", 5, square_chord_bases)
         assert fan.labels == src.labels
-        for ray, (fmask, gmask) in zip(fan.rays, src.ray_data):
+        for ray, (fmask, gmask) in zip(fan.rays, square_biflats(m)):
             key = frozenset(elements_of(fmask)), frozenset(elements_of(gmask))
             assert (ray.e, ray.f) == vector[key]
 
@@ -410,13 +411,12 @@ class TestDeltaFans:
         sheared, fine = minus_shear(square_conormal_fan(m)), delta_tilde_fan(m)
         assert sheared == fine
         assert sheared.rays == fine.rays and sheared.maximal == fine.maximal
-        assert sheared.ray_data == fine.ray_data
 
     def test_minus_shear_shears_only_the_rays(self):
         fan = square_conormal_fan(uniform_matroid(2, 4))
         sheared = minus_shear(fan)
         assert sheared.maximal is fan.maximal
-        assert sheared.labels is fan.labels and sheared.ray_data is fan.ray_data
+        assert sheared.labels is fan.labels
         assert sheared.rays == tuple(
             LatticeVector([-a for a in v.e], [-a - b for a, b in zip(v.e, v.f)])
             for v in fan.rays
@@ -627,14 +627,13 @@ class TestCoordinateMaps:
         assert failing > 100
 
 
-def mutant(fan, maximal=None, rays=None, ray_data=None):
-    """The fan with its maximal cones, rays or biflats replaced, as given."""
+def mutant(fan, maximal=None, rays=None):
+    """The fan with its maximal cones or rays replaced, as given."""
     return Fan(
         fan.n,
         fan.rays if rays is None else rays,
         fan.labels,
         fan.maximal if maximal is None else maximal,
-        ray_data=fan.ray_data if ray_data is None else ray_data,
     )
 
 
@@ -643,7 +642,7 @@ REFINE_CASES = {**ORACLE_MATROIDS, "U(2,4)": (4, list(combinations(range(1, 5), 
 
 class TestRefines:
     """refines(m, fine) certifies the fine fan over the coarse one from the
-    biflats; oracles.refines, the generic route by linear algebra on the two
+    biflats its rays encode; oracles.refines, the generic route by linear algebra on the two
     fans' rays and cones, is its reference."""
 
     def test_square_chord_refinement(self, square_chord_bases):
@@ -756,13 +755,31 @@ class TestRefines:
         with pytest.raises(NotPure):
             oracles.refines(bad, delta_fan(m))
 
-    def test_only_the_biflat_route_reads_ray_data(self, square_chord_bases):
+    def test_both_routes_pass_with_the_rays_permuted(self, square_chord_bases):
+        # each ray is read as its own biflat, so no ray order is assumed
         m = square_chord(square_chord_bases)
         fine = delta_tilde_fan(m)
-        swapped = (fine.ray_data[1], fine.ray_data[0]) + fine.ray_data[2:]
-        bad = mutant(fine, ray_data=swapped)
-        assert refines(m, bad) is not None
-        assert oracles.refines(bad, delta_fan(m))  # same rays and cones
+        perm = list(range(len(fine.rays)))
+        random.Random(7).shuffle(perm)
+        where = {old: new for new, old in enumerate(perm)}
+        shuffled = Fan(
+            fine.n,
+            [fine.rays[i] for i in perm],
+            [fine.labels[i] for i in perm],
+            [frozenset(where[i] for i in c) for c in fine.maximal],
+        )
+        assert shuffled.rays != fine.rays
+        assert refines(m, shuffled) is None
+        assert oracles.refines(shuffled, delta_fan(m))
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS) + ["U(3,6)", "W4"])
+    def test_fine_fan_read_back_from_its_json(self, name):
+        # JSON keeps the rays and cones alone, and that is all refines reads
+        m = (matroid_from_graph(W4_EDGES) if name == "W4"
+             else uniform_matroid(3, 6) if name == "U(3,6)"
+             else matroid_from_bases(*ORACLE_MATROIDS[name]))
+        clone = fan_from_json(json.loads(json.dumps(fan_to_json(delta_tilde_fan(m)))))
+        assert refines(m, clone) is None
 
     # Fans in the plane: with n = 2, LatticeVector((x, 0), (y, 0)) has
     # coordinates (x, y) in Z^2.  Each False case fails exactly one check.
@@ -839,26 +856,34 @@ class TestRefinesWitness:
             # 2 is parallel to 4 in M*
             pytest.param("∅", "2", LatticeVector((0, 0, 0, 0, 0), (0, -1, 0, 0, 0)),
                          "G is not a flat of M*", id="∅-2-G is not a flat of M*"),
-            pytest.param("1", "24", LatticeVector((1, 0, 0, 0, 0), (0, -1, 0, -1, 0)),
-                         "F is not within G", id="1-24-F is not within G"),
         ],
     )
     def test_ray_with_a_bad_biflat(self, case, f, g, ray, problem):
+        # ray 0 moved to the vector (e_F, -e_(G minus F)) of a pair (F, G)
+        # that is no biflat
         m, fine = case
-        pair = (parse_subset_label(f, 5), parse_subset_label(g, 5))
-        # ray 0 moved to the vector (e_F, -e_(G minus F)) its new biflat
-        # gives, so only the biflat is bad
-        bad = mutant(fine, rays=(ray,) + fine.rays[1:], ray_data=(pair,) + fine.ray_data[1:])
+        bad = mutant(fine, rays=(ray,) + fine.rays[1:])
         assert refines(m, bad) == "ray 0 (%s⊆%s): %s" % (f, g, problem)
 
     def test_ray_that_disagrees_with_its_biflat(self, case):
         m, fine = case
-        swapped = (fine.ray_data[1], fine.ray_data[0]) + fine.ray_data[2:]
-        assert refines(m, mutant(fine, ray_data=swapped)) == (
-            "ray 0 (%s): is not (e_F, -e_(G minus F))" % biflat_label(fine.ray_data[1], 5)
+        for ray, label in [
+            # F = 1 meets D = 1: (e_1, -e_1) is no biflat's ray
+            (LatticeVector((1, 0, 0, 0, 0), (-1, 0, 0, 0, 0)), "1⊆1"),
+            # an entry 2: it reads as F = D = ∅, whose ray is 0
+            (LatticeVector((2, 0, 0, 0, 0), (0, 0, 0, 0, 0)), "∅⊆∅"),
+        ]:
+            bad = mutant(fine, rays=(ray,) + fine.rays[1:])
+            assert refines(m, bad) == "ray 0 (%s): is not (e_F, -e_(G minus F))" % label
+
+    def test_zero_ray_is_refused(self, case):
+        # (∅, ∅) and (∅, E) both give the zero ray; neither is a square biflat
+        m, fine = case
+        zero = LatticeVector((0,) * 5, (0,) * 5)
+        assert LatticeVector((0,) * 5, (-1,) * 5) == zero
+        assert refines(m, mutant(fine, rays=(zero,) + fine.rays[1:])) == (
+            "ray 0 (∅⊆∅): G is empty"
         )
-        plain = Fan(5, fine.rays, fine.labels, fine.maximal)
-        assert refines(m, plain) == "the rays carry no biflats"
 
     def test_cone_with_no_home(self, case):
         m, fine = case
@@ -910,11 +935,11 @@ class TestDivisorIncidence:
 
     def test_matches_stored_cones(self, square_chord_bases):
         # incidence of a biflat set == those rays span a cone of the fan
-        fan = square_conormal_fan(square_chord(square_chord_bases))
-        cones = fan.cones
+        m = square_chord(square_chord_bases)
+        cones, biflats = square_conormal_fan(m).cones, square_biflats(m)
         for size in (2, 3):
-            for combo in combinations(range(len(fan.rays)), size):
-                pairs = [fan.ray_data[i] for i in combo]
+            for combo in combinations(range(len(biflats)), size):
+                pairs = [biflats[i] for i in combo]
                 expected = frozenset(combo) in cones
                 assert divisor_incidence(pairs, 5) == expected
 
