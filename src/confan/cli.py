@@ -340,6 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # exact results are printed whole: CPython (3.11, and the security
+    # releases before it) by default refuses int <-> str past 4,300 digits
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     args = build_parser().parse_args(argv)
     try:
         cap = _ground_cap()

@@ -24,23 +24,37 @@ if TYPE_CHECKING:
 
 
 def parse_scalar(text, field: str = "Q", p: int | None = None):
+    """A JSON number, or a string holding an integer, "p/q" or a decimal.
+    A string in exponent notation is refused, so no string gives a value
+    longer than itself; a float is read from its repr ("1e-07"), which the
+    float format bounds."""
     from fractions import Fraction
 
     from .arith import Fp, _residue
 
+    literal = str(text)
     try:
-        fr = Fraction(str(text))
+        if isinstance(text, str) and "e" in literal.lower():
+            raise ValueError
+        fr = Fraction(literal)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("bad scalar %r" % (text,)) from None
+        raise ParseError("bad scalar %s" % _quote(literal)) from None
     if field == "Q":
         return int(fr) if fr.denominator == 1 else fr
     try:
         return Fp(_residue(fr, p), p)
     except ZeroDivisionError:
-        raise ParseError("scalar %s undefined mod %d" % (fr, p)) from None
+        raise ParseError("scalar %s undefined mod %d" % (_quote(literal), p)) from None
 
 
-def matrix_from_json(data) -> Matrix:
+def _quote(text: str) -> str:
+    """The literal in quotes, cut to its first 40 characters."""
+    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+
+
+def matrix_from_json(data, max_n: int | None = None) -> Matrix:
+    """The matrix of a JSON object.  Its width is checked against the cap
+    before any entry is parsed."""
     from .arith import Matrix, _is_prime
 
     if not isinstance(data, dict) or "rows" not in data:
@@ -64,8 +78,10 @@ def matrix_from_json(data) -> Matrix:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ParseError("ragged matrix rows")
+    (ncols,) = widths
+    _check_cap(ncols, max_n)
     parsed = [[parse_scalar(x, field, p) for x in row] for row in rows]
-    return Matrix(parsed, ncols=widths.pop())
+    return Matrix(parsed, ncols=ncols)
 
 
 def parse_graph_text(text: str):
@@ -95,7 +111,8 @@ def _integers(values):
 
 def bases_from_json(data, max_n: int | None = None) -> Matroid:
     """Matroid of a basis list.  The cap is checked after the basis sizes and
-    before the rank table, which takes 2^n steps, validates the bases."""
+    before the masks, which take n bits each, and the rank table, which takes
+    2^n steps and validates the bases."""
     from .matroid import Matroid, mask_of
 
     try:
@@ -109,9 +126,11 @@ def bases_from_json(data, max_n: int | None = None) -> Matroid:
         raise ParseError("basis element out of range")
     if any(len(set(b)) != len(b) for b in bases):
         raise ParseError("basis repeats an element")
+    if len({len(b) for b in bases}) != 1:
+        raise ParseError("not a matroid: bases of unequal size")
+    _check_cap(n, max_n)
     try:
         m = Matroid(n, [mask_of(b) for b in bases])
-        _check_cap(n, max_n)
         m.check_bases()
     except ValueError as exc:
         raise ParseError("not a matroid: %s" % exc) from None
@@ -156,9 +175,7 @@ def load_matroid(path: str, fmt: str | None = None, max_n: int | None = None) ->
     if fmt == "bases":
         return bases_from_json(_load_json(path), max_n)
     if fmt == "matrix":
-        a = matrix_from_json(_load_json(path))
-        _check_cap(a.ncols, max_n)
-        return matroid_from_matrix(a)
+        return matroid_from_matrix(matrix_from_json(_load_json(path), max_n))
     raise ParseError("unknown format %r" % fmt)
 
 
@@ -173,9 +190,7 @@ def load_configuration(
         _check_cap(len(edges), max_n)
         return config_from_graph(edges)
     if fmt == "matrix":
-        a = matrix_from_json(_load_json(path))
-        _check_cap(a.ncols, max_n)
-        return config_new(a)
+        return config_new(matrix_from_json(_load_json(path), max_n))
     if fmt == "bases":
         raise ParseError("a basis list carries no realization; give a matrix or graph")
     raise ParseError("unknown format %r" % fmt)

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from confan import config_new, matroid_from_bases
 from confan.arith import Matrix
+from confan.config import config_new
 
 DATA = Path(__file__).parent / "data"
 

@@ -12,6 +12,7 @@ import confan.arith
 import confan.charp
 import confan.config
 import confan.fans
+import confan.inputs
 from confan.cli import main
 from confan.config import config_new
 from confan.errors import Mismatch
@@ -151,6 +152,39 @@ class TestMatroidInfo:
             "parse error: ground set size 40 exceeds the cap 12 (CONFIG_RESOLVE_MAX_N)\n"
         )
 
+    def test_huge_n_exits_2_before_any_mask(self, capsys, tmp_path, monkeypatch):
+        # the ground-set mask alone would take n bits, 12.5 GB here
+        monkeypatch.delenv("CONFIG_RESOLVE_MAX_N", raising=False)
+        path = tmp_path / "huge.bases.json"
+        path.write_text(json.dumps({"n": 10**11, "bases": [[1]]}))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: ground set size 100000000000 exceeds the cap 12"
+            " (CONFIG_RESOLVE_MAX_N)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["matroid-info", "psi"])
+    def test_matrix_above_cap_exits_2_before_any_scalar(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        # matroid-info reads the matrix by load_matroid, psi by load_configuration
+        def no_scalar(*args):
+            raise AssertionError("scalar parsed for an input above the cap")
+
+        monkeypatch.delenv("CONFIG_RESOLVE_MAX_N", raising=False)
+        monkeypatch.setattr(confan.inputs, "parse_scalar", no_scalar)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"rows": [["1"] * 13] * 3}))
+        code, out, err = run_cli(capsys, command, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "parse error: ground set size 13 exceeds the cap 12 (CONFIG_RESOLVE_MAX_N)\n"
+        )
+
     def test_seed_echo(self, capsys, data_dir):
         code, out, _ = run_cli(
             capsys, "matroid-info", str(data_dir / "triangle.graph"), "--seed", "7"
@@ -200,6 +234,33 @@ class TestPsi:
         code, _, err = run_cli(capsys, "psi", str(data_dir / "u25.bases.json"))
         assert code == 2
         assert "realization" in err
+
+    def test_exponent_notation_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"rows": [["1e5000", "0", "1"], ["0", "1", "1"]]}))
+        code, out, err = run_cli(capsys, "psi", str(path))
+        assert (code, out, err) == (2, "", "parse error: bad scalar '1e5000'\n")
+
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_coefficients_past_the_int_string_limit(self, tmp_path, tree_env, output):
+        # a 2,200-digit entry squares to 4,399 digits, past CPython's default
+        # limit of 4,300 for int <-> str; a fresh process starts at that limit
+        a = "1" + "0" * 2199
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({"rows": [[a, "0", "1"], ["0", "1", "1"]]}))
+        proc = subprocess.run(
+            [sys.executable, "-m", "confan.cli", "psi", str(path), "--output", output],
+            capture_output=True,
+            text=True,
+            env=tree_env,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        square = "1" + "0" * 4398
+        psi = "%s*x1*x2+%s*x1*x3+x2*x3" % (square, square)
+        if output == "json":
+            assert json.loads(proc.stdout)["psi"] == psi
+        else:
+            assert proc.stdout == "seed: 0\npsi = %s\n" % psi
 
 
 class TestFan:

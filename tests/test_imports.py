@@ -1,8 +1,14 @@
-"""The package namespace loads its names on first use, and each CLI command
-imports only the layers its own code path runs."""
+"""Each public name has one home: the module that defines it, which is its
+import path, while the package binds none of them, and `import confan`
+loads no submodule.  The README's library example, the one place that shows
+those paths to users, runs as written.  Each CLI command imports only the
+layers its own code path runs."""
 
 import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,26 +20,29 @@ import confan
 REPO = Path(__file__).resolve().parent.parent
 DATA = Path(__file__).parent / "data"
 
-# The public names of the package, by home module.
-PUBLIC = {
-    "arith": "Fp Matrix MultiPoly det kernel_basis matrix_rank",
-    "charp": "fedder_witness lead_term_certificate linkage_generators "
-    "row_reduce_to_standard spair_reduction_check",
-    "classes": "BettiTable BiDegree a_invariant chow_bidegree cohomology_basis "
-    "motivic_class resolution_betti",
-    "config": "Configuration config_from_graph config_new lambda_system "
-    "psi_basis_expansion psi_det q_w_matrix",
-    "fans": "Fan LatticeVector bergman_fan cones_off_coordinate_fans delta_fan "
-    "delta_tilde_fan divisor_incidence fan_from_json fan_to_json fibre_fan "
-    "non_unimodular_cones refines square_biflats square_conormal_fan",
-    "incidence": "Point XRankClass dual_config duality_map hadamard_square "
-    "iota_differential_check jacobian_rank nonround_flats on_lambda "
-    "sample_stratum_point sample_torus_point singular_witness x_rank_class",
-    "matroid": "Matroid char_poly closure contract delete dual flats is_connected is_round "
-    "matroid_from_bases matroid_from_graph matroid_from_matrix rank_of "
-    "reduced_char_poly uniform_matroid",
-}
-HOME = {name: module for module, names in PUBLIC.items() for name in names.split()}
+
+MODULES = [
+    importlib.import_module("confan." + info.name)
+    for info in pkgutil.iter_modules(confan.__path__)
+]
+
+
+def homes():
+    """Public name -> the confan modules that define a function or class of
+    that name, read from the modules themselves."""
+    found = {}
+    for module in MODULES:
+        for name, value in vars(module).items():
+            if (
+                not name.startswith("_")
+                and (inspect.isclass(value) or inspect.isfunction(value))
+                and value.__module__ == module.__name__
+            ):
+                found.setdefault(name, []).append(module)
+    return found
+
+
+HOMES = homes()
 
 LAYERS = {"arith", "charp", "classes", "config", "fans", "incidence", "inputs", "matroid"}
 
@@ -76,39 +85,40 @@ def loaded_by(*argv, then=""):
 
 
 class TestNamespace:
-    def test_all_lists_the_public_names(self):
-        assert sorted(confan.__all__) == sorted(HOME)
-        assert len(confan.__all__) == len(set(confan.__all__)) == 67
-
-    @pytest.mark.parametrize("name", sorted(HOME))
+    @pytest.mark.parametrize("name", sorted(HOMES))
     def test_name_is_its_home_modules_object(self, name):
-        home = importlib.import_module("confan." + HOME[name])
-        assert getattr(confan, name) is getattr(home, name)
-
-    def test_unknown_name_raises_attribute_error(self):
-        with pytest.raises(AttributeError, match="no_such_name"):
-            confan.no_such_name
-        with pytest.raises(ImportError):
-            exec("from confan import no_such_name", {})
-
-    def test_submodules_resolve_as_attributes(self):
-        _, loaded = fresh("import confan\nassert confan.fans.Fan is confan.Fan")
-        assert "fans" in loaded
+        (home,) = HOMES[name]
+        value = getattr(home, name)
+        # a module that imports the name binds the home's object
+        for other in MODULES:
+            assert getattr(other, name, value) is value
+        assert not hasattr(confan, name)
 
     def test_import_loads_no_layer(self):
-        _, loaded = fresh("import confan\nassert 'Fan' in dir(confan)")
-        assert not loaded & LAYERS
+        _, loaded = fresh("import confan")
+        assert not loaded
 
     def test_from_import_loads_only_the_home_layers(self):
-        # tests/conftest.py imports these two
-        _, loaded = fresh("from confan import matroid_from_bases")
+        _, loaded = fresh("from confan.matroid import matroid_from_bases")
         assert loaded == {"errors", "matroid"}
-        _, loaded = fresh("from confan import config_new, matroid_from_bases")
-        assert loaded == {"arith", "config", "errors", "matroid"}
 
     def test_config_new_loads_no_matroid(self):
-        _, loaded = fresh("from confan import config_new")
+        _, loaded = fresh("from confan.config import config_new")
         assert loaded == {"arith", "config", "errors"}
+
+
+class TestReadme:
+    def test_library_block_runs_as_written(self):
+        text = (REPO / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"^## Library\n\n```python\n(.*?)^```$", text, re.M | re.S)
+        ns = {}
+        exec(block, ns)
+        c, fan = ns["c"], ns["fan"]
+        # the values its comments give
+        assert len(ns["psi_det"](c).terms) == 8
+        assert [ns["subset_label"](f, c.n) for f in ns["nonround_flats"](c)] == ["124", "135"]
+        assert (len(fan.rays), len(fan.maximal)) == (19, 56)
+        assert ns["refines"](c.matroid, fan) is None
 
 
 class TestCommandImports:

@@ -34,6 +34,27 @@ class TestScalars:
         with pytest.raises(ParseError):
             parse_scalar("one half")
 
+    def test_decimal(self):
+        assert parse_scalar("0.25") == Fraction(1, 4)
+        assert parse_scalar("-1.50") == Fraction(-3, 2)
+        assert isinstance(parse_scalar("2.0"), int)
+        # a JSON number is a float, whose repr may have an exponent
+        assert parse_scalar(1e-07) == Fraction(1, 10**7)
+
+    @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e10000000"])
+    def test_exponent_notation_refused(self, text):
+        # "1e10000000" would be a ten-million-digit value from a ten-byte literal
+        with pytest.raises(ParseError, match="^bad scalar %r$" % text):
+            parse_scalar(text)
+
+    def test_long_literal_quoted_short(self):
+        with pytest.raises(ParseError) as err:
+            parse_scalar("9" * 4000 + "x")
+        assert str(err.value) == "bad scalar %r..." % ("9" * 40)
+        with pytest.raises(ParseError) as err:
+            parse_scalar("1/" + "5" * 4000, field="Fp", p=5)
+        assert str(err.value) == "scalar %r... undefined mod 5" % ("1/" + "5" * 38)
+
 
 class TestMatrixJson:
     def test_round_trip_q(self):
@@ -64,6 +85,17 @@ class TestMatrixJson:
     def test_rejects_missing_rows(self):
         with pytest.raises(ParseError):
             matrix_from_json({"field": "Q"})
+
+    def test_error_order_around_the_cap(self):
+        # the shape is checked before the cap, the entries after it
+        with pytest.raises(ParseError, match="ragged matrix rows"):
+            matrix_from_json({"rows": [["1"] * 13, ["1"]]}, max_n=12)
+        with pytest.raises(ParseError, match="nonempty list of lists"):
+            matrix_from_json({"rows": [["1"] * 13, "1"]}, max_n=12)
+        with pytest.raises(ParseError, match="exceeds the cap 12"):
+            matrix_from_json({"rows": [["x"] * 13]}, max_n=12)
+        with pytest.raises(ParseError, match="bad scalar 'x'"):
+            matrix_from_json({"rows": [["x"] * 12]}, max_n=12)
 
 
 class TestGraph:
