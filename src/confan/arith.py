@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm, prod
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import NonSquare, ZeroPolynomial
@@ -24,9 +25,7 @@ def _is_prime(p: int) -> bool:
     """Whether p is prime, by deterministic Miller-Rabin; ValueError for a p
     at or above PRIME_TEST_BOUND, where the test is no longer exact."""
     if p >= PRIME_TEST_BOUND:
-        raise ValueError(
-            "p = %d is too large: primality is decided below %d" % (p, PRIME_TEST_BOUND)
-        )
+        raise ValueError("p is too large: primality is decided below %d" % PRIME_TEST_BOUND)
     if p < 2:
         return False
     if p in _PRIME_BASES:
@@ -97,11 +96,7 @@ class Fp:
 
     def __rtruediv__(self, other):
         v = self._coerce(other)
-        if v is NotImplemented:
-            return v
-        if self.val == 0:
-            raise ZeroDivisionError("division by zero in F_%d" % self.p)
-        return Fp(v * pow(self.val, self.p - 2, self.p), self.p)
+        return NotImplemented if v is NotImplemented else Fp(v, self.p) / self
 
     def __neg__(self):
         return Fp(-self.val, self.p)
@@ -198,8 +193,9 @@ class MultiPoly:
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                terms[m] = terms.get(m, 0) + c1 * c2
+                m = tuple(map(add, m1, m2))
+                # a first product is stored, not added to 0 (a Fraction sum)
+                terms[m] = terms[m] + c1 * c2 if m in terms else c1 * c2
         return MultiPoly(self.variables, terms)
 
     __rmul__ = __mul__

@@ -155,16 +155,6 @@ def _mono_sub(f, m):
     return tuple(a - b for a, b in zip(f, m))
 
 
-def _term_mul(p: MultiPoly, mono, coeff) -> MultiPoly:
-    return MultiPoly(
-        p.variables,
-        {
-            tuple(a + b for a, b in zip(m, mono)): c * coeff
-            for m, c in p.terms.items()
-        },
-    )
-
-
 def divide_remainder(f: MultiPoly, basis) -> MultiPoly:
     """Multivariate division remainder of f by the basis list, under lex."""
     remainder = MultiPoly.zero(f.variables)
@@ -183,7 +173,8 @@ def divide_remainder(f: MultiPoly, basis) -> MultiPoly:
             work = work - t
         else:
             g, gm, gc = hit
-            work = work - _term_mul(g, _mono_sub(mono, gm), _promote_div(coeff, gc))
+            t = MultiPoly(work.variables, {_mono_sub(mono, gm): _promote_div(coeff, gc)})
+            work = work - t * g
     return remainder
 
 
@@ -196,14 +187,14 @@ def spair_reduction_check(c: Configuration) -> bool:
     the S-pair of two polynomials with coprime leads always reduces to zero.
     """
     qs = lambda_system(c)
+    variables = xu_variables(c.n, c.r)
     for i in range(len(qs)):
         mi, ci = poly_lead_term(qs[i])
         for j in range(i + 1, len(qs)):
             mj, cj = poly_lead_term(qs[j])
             lcm = tuple(max(a, b) for a, b in zip(mi, mj))
-            s = _term_mul(qs[i], _mono_sub(lcm, mi), _promote_div(1, ci)) - _term_mul(
-                qs[j], _mono_sub(lcm, mj), _promote_div(1, cj)
-            )
-            if divide_remainder(s, qs).terms:
+            ti = MultiPoly(variables, {_mono_sub(lcm, mi): _promote_div(1, ci)})
+            tj = MultiPoly(variables, {_mono_sub(lcm, mj): _promote_div(1, cj)})
+            if divide_remainder(ti * qs[i] - tj * qs[j], qs).terms:
                 return False
     return True

@@ -19,7 +19,6 @@ from .arith import (
 )
 from .errors import (
     Degenerate,
-    DisconnectedGraph,
     HasLoops,
     Mismatch,
     RankDeficient,
@@ -106,12 +105,10 @@ def config_new(a: Matrix) -> Configuration:
 
 def config_from_graph(edges) -> Configuration:
     """Configuration of a connected graph: oriented incidence matrix, one vertex row dropped."""
-    from .matroid import _connected_components, _vertices
+    from .matroid import _connected_vertices
 
     edges = [tuple(e) for e in edges]
-    vertices = _vertices(edges)
-    if _connected_components(vertices, edges) != 1:
-        raise DisconnectedGraph("graph is not connected")
+    vertices = _connected_vertices(edges)
     index = {v: i for i, v in enumerate(vertices)}
     rows = [[0] * len(edges) for _ in range(len(vertices) - 1)]
     for j, (u, v) in enumerate(edges):

@@ -186,6 +186,20 @@ def stratum_kernel(c: Configuration, flat: int) -> Matrix:
     return kernel_basis(c.a.column_submatrix(cols).transpose())
 
 
+def _stratum_v(c: Configuration, flat: int, rng: Random) -> list:
+    """Seeded v = A^T w vanishing exactly on the flat, w drawn from
+    stratum_kernel; a one-dimensional kernel gives its row."""
+    rows = list(stratum_kernel(c, flat).rows)
+    if not rows:
+        raise ValueError("stratum is empty: no w vanishes exactly on the flat")
+    for _ in range(1000):
+        w = rows[0] if len(rows) == 1 else _random_combination(rows, rng)
+        v = c.a.transpose().apply(w)
+        if _zero_mask(v) == flat:
+            return v
+    raise ValueError("sampling failed to hit the stratum")
+
+
 def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
     """A point over the flat's stratum where the Jacobian drops rank.
 
@@ -195,63 +209,38 @@ def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
     from .matroid import elements_of, rank_of
 
     m = c.matroid
-    full = m.ground
-    outside = full & ~flat
+    outside = m.ground & ~flat
     rk_out = rank_of(m, outside)
     if rk_out >= m.r:
         raise ValueError("flat is not rank-deficient on its complement")
     j = next(
         e for e in elements_of(flat) if rank_of(m, outside | (1 << (e - 1))) == rk_out
     )
-    kernel = stratum_kernel(c, flat)
-    rng = Random(seed)
+    beta = [0] * c.n
+    beta[j - 1] = 1
+    return Point(_stratum_v(c, flat, Random(seed)), beta)
+
+
+def _incidence_point(c: Configuration, flat: int, rng: Random, nonzero) -> Point:
+    """Seeded (v, beta) over the flat's stratum: v from _stratum_v, beta in
+    the kernel of A diag(v), drawn until nonzero(beta) holds."""
+    v = _stratum_v(c, flat, rng)
+    scaled = Matrix([[x * y for x, y in zip(row, v)] for row in c.a.rows], ncols=c.n)
+    beta_rows = list(kernel_basis(scaled).rows)
     for _ in range(1000):
-        w = (
-            list(kernel.rows[0])
-            if kernel.nrows == 1
-            else _random_combination(list(kernel.rows), rng)
-        )
-        v = c.a.transpose().apply(w)
-        if _zero_mask(v) == flat:
-            beta = [0] * c.n
-            beta[j - 1] = 1
+        beta = _random_combination(beta_rows, rng)
+        if nonzero(beta):
             return Point(v, beta)
-    raise ValueError("could not hit the open stratum; flat may be misidentified")
+    raise ValueError("sampling failed to draw beta")
 
 
 def sample_stratum_point(c: Configuration, flat: int, rng: Random) -> Point:
-    """Seeded point of the incidence variety lying over the given flat's stratum."""
-    kernel = stratum_kernel(c, flat)
-    if kernel.nrows == 0:
-        raise ValueError("stratum is empty: no w vanishes exactly on the flat")
-    for _ in range(1000):
-        w = _random_combination(list(kernel.rows), rng)
-        v = c.a.transpose().apply(w)
-        if _zero_mask(v) != flat:
-            continue
-        scaled_rows = [
-            [c.a[i, k] * v[k] for k in range(c.n)] for i in range(c.r)
-        ]
-        beta_space = kernel_basis(Matrix(scaled_rows, ncols=c.n))
-        for _ in range(1000):
-            beta = _random_combination(list(beta_space.rows), rng)
-            if any(beta):
-                return Point(v, beta)
-    raise ValueError("sampling failed to hit the stratum")
+    """Seeded point of the incidence variety lying over the given flat's
+    stratum, with beta nonzero."""
+    return _incidence_point(c, flat, rng, any)
 
 
 def sample_torus_point(c: Configuration, rng: Random) -> Point:
-    """Seeded incidence point with every coordinate of v and beta nonzero."""
-    c0 = kernel_basis(c.a)
-    for _ in range(1000):
-        z = [rng.randint(-9, 9) for _ in range(c.r)]
-        v = c.a.transpose().apply(z)
-        if not all(v):
-            continue
-        for _ in range(1000):
-            zp = [rng.randint(-9, 9) for _ in range(c0.nrows)]
-            gamma = c0.transpose().apply(zp)
-            if all(gamma):
-                beta = [_promote_div(g, x) for g, x in zip(gamma, v)]
-                return Point(v, beta)
-    raise ValueError("sampling failed to find a torus point")
+    """Seeded incidence point with every coordinate of v and beta nonzero:
+    the stratum point over the empty flat, drawn until no beta_j is zero."""
+    return _incidence_point(c, 0, rng, all)

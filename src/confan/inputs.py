@@ -23,33 +23,52 @@ if TYPE_CHECKING:
     from .matroid import Matroid
 
 
+# CPython's default bound on int <-> str digits, whose conversion takes
+# quadratic time: a longer literal is refused before it is converted
+_LITERAL_MAX = 4300
+
+
 def parse_scalar(text, field: str = "Q", p: int | None = None):
-    """A JSON number, or a string holding an integer, "p/q" or a decimal.
-    A string in exponent notation is refused, so no string gives a value
-    longer than itself; a float is read from its repr ("1e-07"), which the
-    float format bounds."""
+    """A JSON integer, or a string holding an integer, "p/q" or a decimal.
+    A JSON non-integer number is refused, since a float has lost digits
+    already; so is a string in exponent notation, so that no string gives a
+    value longer than itself."""
     from fractions import Fraction
 
     from .arith import Fp, _residue
 
-    literal = str(text)
+    if isinstance(text, float):
+        raise ParseError(
+            "entry %r is not an integer: write it as a string, as \"0.1\" or \"1/10\""
+            % text
+        )
+    literal = _bounded(str(text))
     try:
         if isinstance(text, str) and "e" in literal.lower():
             raise ValueError
         fr = Fraction(literal)
     except (ValueError, ZeroDivisionError):
-        raise ParseError("bad scalar %s" % _quote(literal)) from None
+        raise ParseError("bad scalar %s" % _cut(literal, repr)) from None
     if field == "Q":
         return int(fr) if fr.denominator == 1 else fr
     try:
         return Fp(_residue(fr, p), p)
     except ZeroDivisionError:
-        raise ParseError("scalar %s undefined mod %d" % (_quote(literal), p)) from None
+        raise ParseError("scalar %s undefined mod %d" % (_cut(literal, repr), p)) from None
 
 
-def _quote(text: str) -> str:
-    """The literal in quotes, cut to its first 40 characters."""
-    return repr(text) if len(text) <= 40 else repr(text[:40]) + "..."
+def _cut(text: str, form=str) -> str:
+    """The text cut to 40 characters, in form; "..." marks a cut."""
+    return form(text[:40]) + ("..." if len(text) > 40 else "")
+
+
+def _bounded(literal: str) -> str:
+    """The literal, unless it is longer than _LITERAL_MAX characters."""
+    if len(literal) > _LITERAL_MAX:
+        raise ParseError(
+            "literal %s is longer than %d characters" % (_cut(literal, repr), _LITERAL_MAX)
+        )
+    return literal
 
 
 def matrix_from_json(data, max_n: int | None = None) -> Matrix:
@@ -113,7 +132,7 @@ def bases_from_json(data, max_n: int | None = None) -> Matroid:
     """Matroid of a basis list.  The cap is checked after the basis sizes and
     before the masks, which take n bits each, and the rank table, which takes
     2^n steps and validates the bases."""
-    from .matroid import Matroid, mask_of
+    from .matroid import matroid_from_bases
 
     try:
         (n,) = _integers([data["n"]])
@@ -130,11 +149,9 @@ def bases_from_json(data, max_n: int | None = None) -> Matroid:
         raise ParseError("not a matroid: bases of unequal size")
     _check_cap(n, max_n)
     try:
-        m = Matroid(n, [mask_of(b) for b in bases])
-        m.check_bases()
+        return matroid_from_bases(n, bases)
     except ValueError as exc:
         raise ParseError("not a matroid: %s" % exc) from None
-    return m
 
 
 def detect_format(path: str) -> str:
@@ -159,7 +176,7 @@ def _load_json(path: str):
     import json
 
     try:
-        return json.loads(_read(path))
+        return json.loads(_read(path), parse_int=lambda s: int(_bounded(s)))
     except json.JSONDecodeError as exc:
         raise ParseError("bad JSON in %s: %s" % (path, exc)) from None
 
@@ -199,5 +216,6 @@ def load_configuration(
 def _check_cap(n: int, max_n: int | None):
     if max_n is not None and n > max_n:
         raise ParseError(
-            "ground set size %d exceeds the cap %d (CONFIG_RESOLVE_MAX_N)" % (n, max_n)
+            "ground set size %s exceeds the cap %d (CONFIG_RESOLVE_MAX_N)"
+            % (_cut(str(n)), max_n)
         )

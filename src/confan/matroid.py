@@ -325,12 +325,10 @@ def matroid_from_matrix(a: Matrix, minors: dict | None = None) -> Matroid:
     return Matroid(n, minors)
 
 
-def _vertices(edges):
-    """The endpoints of the edges, each once, in order of first appearance."""
-    return list(dict.fromkeys(w for e in edges for w in e))
-
-
-def _connected_components(vertices, edges):
+def _connected_vertices(edges) -> list:
+    """The endpoints of the edges, each once, in order of first appearance;
+    DisconnectedGraph unless the edges join them into one component."""
+    vertices = list(dict.fromkeys(w for e in edges for w in e))
     parent = {v: v for v in vertices}
 
     def find(v):
@@ -343,7 +341,9 @@ def _connected_components(vertices, edges):
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
-    return len({find(v) for v in vertices})
+    if len({find(v) for v in vertices}) != 1:
+        raise DisconnectedGraph("graph is not connected")
+    return vertices
 
 
 def _spanning_trees(vertices, edges) -> list:
@@ -384,9 +384,7 @@ def matroid_from_graph(edges) -> Matroid:
     edges = [tuple(e) for e in edges]
     if not edges:
         raise ValueError("no edges")
-    vertices = _vertices(edges)
-    if _connected_components(vertices, edges) != 1:
-        raise DisconnectedGraph("graph is not connected")
+    vertices = _connected_vertices(edges)
     if len(vertices) == 1:
         raise Degenerate("single-vertex graph has a rank-0 matroid")
     return Matroid(len(edges), _spanning_trees(vertices, edges))

@@ -241,6 +241,53 @@ class TestPsi:
         code, out, err = run_cli(capsys, "psi", str(path))
         assert (code, out, err) == (2, "", "parse error: bad scalar '1e5000'\n")
 
+    @pytest.mark.parametrize("entry", ["12345678901234567891.5", "0.1"])
+    def test_json_non_integer_entry_exits_2(self, capsys, tmp_path, entry):
+        # read as a float, the first entry would lose its last digits
+        path = tmp_path / "float.json"
+        path.write_text('{"rows": [[%s, 0, 1], [0, 1, 1]]}' % entry)
+        code, out, err = run_cli(capsys, "psi", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: entry ")
+        assert err.endswith('write it as a string, as "0.1" or "1/10"\n')
+
+    def test_decimal_string_entry(self, capsys, tmp_path):
+        path = tmp_path / "decimal.json"
+        path.write_text('{"rows": [["0.1", 0, 1], [0, 1, 1]]}')
+        code, out, _ = run_cli(capsys, "psi", str(path))
+        assert (code, out) == (0, "seed: 0\npsi = 1/100*x1*x2+1/100*x1*x3+x2*x3\n")
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("entry.json", '{"rows": [["%s", "0", "1"], ["0", "1", "1"]]}'),
+            ("integer.json", '{"rows": [[%s, 0, 1], [0, 1, 1]]}'),
+            ("p.json", '{"rows": [["1", "0", "1"], ["0", "1", "1"]], "field": "Fp", "p": %s}'),
+            ("n.bases.json", '{"n": %s, "bases": [[1]]}'),
+        ],
+    )
+    def test_long_literal_exits_2_at_once(self, capsys, tmp_path, name, text):
+        # converting 300,000 digits would take seconds: int <-> str is quadratic
+        path = tmp_path / name
+        path.write_text(text % ("7" * 300_000))
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "matroid-info", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err == "parse error: literal %r... is longer than 4300 characters\n" % (
+            "7" * 40
+        )
+
+    def test_huge_p_is_not_echoed(self, capsys, data_dir):
+        code, out, err = run_cli(
+            capsys, "charp", str(data_dir / "square_chord.graph"), "--p", "7" * 130_000
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: p is too large: primality is decided below"
+            " 3317044064679887385961981\n"
+        )
+
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_coefficients_past_the_int_string_limit(self, tmp_path, tree_env, output):
         # a 2,200-digit entry squares to 4,399 digits, past CPython's default

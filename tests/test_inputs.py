@@ -38,8 +38,21 @@ class TestScalars:
         assert parse_scalar("0.25") == Fraction(1, 4)
         assert parse_scalar("-1.50") == Fraction(-3, 2)
         assert isinstance(parse_scalar("2.0"), int)
-        # a JSON number is a float, whose repr may have an exponent
-        assert parse_scalar(1e-07) == Fraction(1, 10**7)
+
+    @pytest.mark.parametrize("number", [0.1, 2.0, 1e-07, 12345678901234567891.5])
+    def test_json_non_integer_number_refused(self, number):
+        # a float has lost digits already: the entry is written as a string
+        with pytest.raises(ParseError, match='write it as a string, as "0.1" or "1/10"'):
+            parse_scalar(number)
+
+    def test_literal_bound(self):
+        assert parse_scalar("1" + "0" * 4299) == 10**4299
+        assert parse_scalar(-(10**4298)) == -(10**4298)
+        with pytest.raises(ParseError) as err:
+            parse_scalar("1" + "0" * 4300)
+        assert str(err.value) == "literal %r... is longer than 4300 characters" % (
+            "1" + "0" * 39
+        )
 
     @pytest.mark.parametrize("text", ["1e5", "1E5", "2.5e-3", "1e10000000"])
     def test_exponent_notation_refused(self, text):
@@ -153,6 +166,13 @@ class TestBasesJson:
             bases_from_json({"n": 20, "bases": [[1, 2], [3, 4]]}, max_n=12)
         with pytest.raises(ParseError, match="not a matroid: rank is not submodular"):
             bases_from_json({"n": 12, "bases": [[1, 2], [3, 4]]}, max_n=12)
+
+    def test_cap_message_cuts_a_long_n(self):
+        with pytest.raises(ParseError) as err:
+            bases_from_json({"n": 10**4000, "bases": [[1]]}, max_n=12)
+        assert str(err.value) == (
+            "ground set size %s... exceeds the cap 12 (CONFIG_RESOLVE_MAX_N)" % ("1" + "0" * 39)
+        )
 
 
 class TestDetectAndLoad:
