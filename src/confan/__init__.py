@@ -1,6 +1,6 @@
 """Exact computations for linear configurations: matroids, configuration
-polynomials, incidence-variety data, conormal-type fans, invariant classes,
-and positive-characteristic certificates.
+polynomials and their bilinear incidence forms, conormal-type fans,
+invariant classes, and positive-characteristic certificates.
 
 Each public name is imported from its module (`from confan.fans import
 Fan`); importing the package itself loads none of them.

@@ -7,7 +7,7 @@ elements of a prime field Fp.  No floats, no tolerances, anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import lcm, prod
 from operator import add
 from typing import Iterable, Sequence
 
@@ -360,13 +360,6 @@ def _promote_div(a, b):
     return a / b
 
 
-def matrix_rank(m: Matrix) -> int:
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    _, pivots = _rref(m)
-    return len(pivots)
-
-
 def _clearing(rows):
     """(p, scales) that turn rows of exact scalars into integers.
 
@@ -472,10 +465,8 @@ def det(m: Matrix):
     """Exact determinant of a square matrix of scalars, or of MultiPoly
     entries among scalars: the full-width minor of the Laplace kernel
     (_laplace), in O(n 2^n) ring operations against elimination's O(n^3).
-    Two callers pass scalars: incidence.dual_config asks for an
-    (n - r) x (n - r) determinant of an r x n configuration
-    (n <= CONFIG_RESOLVE_MAX_N on CLI inputs), and config.psi_det for the
-    r x r pivot block det(A_P), once per psi.
+    One caller passes scalars: config.psi_det, for the r x r pivot block
+    det(A_P), once per psi.
 
     Entries run as integer coefficients (see _clearing) of packed
     monomials, one int per exponent vector with a field of `width` bits per
@@ -519,56 +510,3 @@ def det(m: Matrix):
     if not polys:
         return det_terms.get((), _from_int(0, 1, p))
     return MultiPoly(variables, det_terms)
-
-
-def _clear_row(row: Sequence[Fraction]) -> list:
-    """Scale a rational row to coprime integers, first nonzero entry positive."""
-    scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
-    ints = [int(x * scale) for x in row]
-    content = gcd(*ints)
-    if content > 1:
-        ints = [x // content for x in ints]
-    leading = next((x for x in ints if x), 0)
-    if leading < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def kernel_basis(m: Matrix) -> Matrix:
-    """Rows form a basis of the right kernel of m.
-
-    Over the rationals the rows come back integer-cleared and content-free;
-    over F_p every entry is an Fp.
-    """
-    rows, pivots = _rref(m)
-    free = [j for j in range(m.ncols) if j not in pivots]
-    basis = []
-    p = next((x.p for row in m.rows for x in row if isinstance(x, Fp)), None)
-    zero, one = (0, 1) if p is None else (Fp(0, p), Fp(1, p))
-    for j in free:
-        v = [zero] * m.ncols
-        v[j] = one
-        for i, pj in enumerate(pivots):
-            v[pj] = -rows[i][j]
-        if p is None:
-            v = _clear_row(v)
-        basis.append(v)
-    return Matrix(basis, ncols=m.ncols)
-
-
-def solve_exact(m: Matrix, rhs: Sequence):
-    """One exact solution x of m x = rhs, or None when inconsistent.
-
-    Free variables are set to zero, so the answer is unique exactly when
-    the columns are independent.
-    """
-    augmented = Matrix(
-        [list(row) + [b] for row, b in zip(m.rows, rhs)], ncols=m.ncols + 1
-    )
-    rows, pivots = _rref(augmented)
-    if m.ncols in pivots:
-        return None
-    x = [0] * m.ncols
-    for i, pj in enumerate(pivots):
-        x[pj] = rows[i][m.ncols]
-    return x

@@ -33,7 +33,11 @@ def _ground_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise ParseError("CONFIG_RESOLVE_MAX_N must be an integer, got %r" % raw) from None
+        from .inputs import _cut
+
+        raise ParseError(
+            "CONFIG_RESOLVE_MAX_N must be an integer, got %s" % _cut(raw, repr)
+        ) from None
 
 
 def cmd_matroid_info(args, cap):

@@ -1,6 +1,7 @@
 """Configurations: a full-row-rank exact matrix A, its table of maximal
 minors, its polynomial psi = det(A diag(x) A^T) by two routes, and the
-bilinear incidence forms.  The incidence variety itself is confan.incidence.
+bilinear incidence forms.  The package does not model the incidence variety
+they cut out; the test suite checks its properties (tests/incidence.py).
 
 Conventions: A is r x n with 0 < r < n; matroid elements 1..n are the columns.
 """

@@ -63,18 +63,6 @@ class NotConnected(ConfanError):
     """Operation requires a connected matroid."""
 
 
-class ZeroVector(ConfanError):
-    """A nonzero vector was required."""
-
-
-class ZeroCoordinate(ConfanError):
-    """All coordinates were required to be nonzero."""
-
-
-class NotOnLambda(ConfanError):
-    """Point does not satisfy the incidence equations."""
-
-
 # fans
 
 class LoopOrColoop(ConfanError):

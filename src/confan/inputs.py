@@ -111,7 +111,7 @@ def parse_graph_text(text: str):
             continue
         tokens = body.split()
         if len(tokens) != 2:
-            raise ParseError("line %d: expected 'u v', got %r" % (lineno, line))
+            raise ParseError("line %d: expected 'u v', got %s" % (lineno, _cut(line, repr)))
         edges.append((tokens[0], tokens[1]))
     if not edges:
         raise ParseError("graph file has no edges")

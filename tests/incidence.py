@@ -1,7 +1,10 @@
-"""The incidence variety of a configuration: the forms of config.lambda_system
-and their Jacobian rank at a point over the strata of the non-round flats, the
-coordinatewise square map, the torus duality map to the dual configuration,
-and seeded sampling of points.
+"""The incidence variety of a configuration, checked from the test side: the
+forms of config.lambda_system and their Jacobian rank at a point over the
+strata of the non-round flats, the coordinatewise square map, the torus
+duality map to the dual configuration, and seeded sampling of points.  No
+command reads the incidence variety, so this module and the exact solvers
+only it needs (rank, kernel basis, one solution of a linear system) live
+beside tests/oracles.py, not in the package.
 
 Conventions as in config: a point is (v, beta), v = A^T w a length-n vector
 in the row span, w its length-r row-span coordinates, beta a length-n covector.
@@ -10,27 +13,92 @@ in the row span, w its length-r row-span coordinates, beta a length-n covector.
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
+from math import gcd, lcm
 from random import Random
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .arith import (
-    Fp,
-    Matrix,
-    MultiPoly,
-    _promote_div,
-    det,
-    kernel_basis,
-    matrix_rank,
-    solve_exact,
-)
-from .config import Configuration, config_new, first_basis, lambda_system, q_w_matrix
-from .errors import (
-    Degenerate,
-    NotConnected,
-    NotOnLambda,
-    ZeroCoordinate,
-    ZeroVector,
-)
+from confan.arith import Fp, Matrix, MultiPoly, _promote_div, _rref, det
+from confan.config import Configuration, config_new, first_basis, lambda_system, q_w_matrix
+from confan.errors import ConfanError, Degenerate, NotConnected
+from confan.matroid import elements_of, is_connected, rank_of, roundness_witnesses
+
+
+class ZeroVector(ConfanError):
+    """A nonzero vector was required."""
+
+
+class ZeroCoordinate(ConfanError):
+    """All coordinates were required to be nonzero."""
+
+
+class NotOnLambda(ConfanError):
+    """Point does not satisfy the incidence equations."""
+
+
+# ---------------------------------------------------------------------------
+# exact linear algebra over Q and F_p
+# ---------------------------------------------------------------------------
+
+
+def matrix_rank(m: Matrix) -> int:
+    if m.nrows == 0 or m.ncols == 0:
+        return 0
+    _, pivots = _rref(m)
+    return len(pivots)
+
+
+def _clear_row(row: Sequence[Fraction]) -> list:
+    """Scale a rational row to coprime integers, first nonzero entry positive."""
+    scale = lcm(*(x.denominator for x in row if isinstance(x, Fraction)))
+    ints = [int(x * scale) for x in row]
+    content = gcd(*ints)
+    if content > 1:
+        ints = [x // content for x in ints]
+    leading = next((x for x in ints if x), 0)
+    if leading < 0:
+        ints = [-x for x in ints]
+    return ints
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Rows form a basis of the right kernel of m.
+
+    Over the rationals the rows come back integer-cleared and content-free;
+    over F_p every entry is an Fp.
+    """
+    rows, pivots = _rref(m)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    basis = []
+    p = next((x.p for row in m.rows for x in row if isinstance(x, Fp)), None)
+    zero, one = (0, 1) if p is None else (Fp(0, p), Fp(1, p))
+    for j in free:
+        v = [zero] * m.ncols
+        v[j] = one
+        for i, pj in enumerate(pivots):
+            v[pj] = -rows[i][j]
+        if p is None:
+            v = _clear_row(v)
+        basis.append(v)
+    return Matrix(basis, ncols=m.ncols)
+
+
+def solve_exact(m: Matrix, rhs: Sequence):
+    """One exact solution x of m x = rhs, or None when inconsistent.
+
+    Free variables are set to zero, so the answer is unique exactly when
+    the columns are independent.
+    """
+    augmented = Matrix(
+        [list(row) + [b] for row, b in zip(m.rows, rhs)], ncols=m.ncols + 1
+    )
+    rows, pivots = _rref(augmented)
+    if m.ncols in pivots:
+        return None
+    x = [0] * m.ncols
+    for i, pj in enumerate(pivots):
+        x[pj] = rows[i][m.ncols]
+    return x
 
 
 class Point(NamedTuple):
@@ -99,8 +167,6 @@ def x_rank_class(c: Configuration, beta) -> XRankClass:
 
 def nonround_flats(c: Configuration):
     """Proper flats F with rank(E minus F) below the rank; empty exactly when round."""
-    from .matroid import is_connected, roundness_witnesses
-
     if not is_connected(c.matroid):
         raise NotConnected("stratum analysis needs a connected matroid")
     return roundness_witnesses(c.matroid)
@@ -206,8 +272,6 @@ def singular_witness(c: Configuration, flat: int, seed: int = 0) -> Point:
     Requires rank(E minus flat) < r.  beta is the indicator of the first
     j in the flat with rank({j} union complement) = rank(complement).
     """
-    from .matroid import elements_of, rank_of
-
     m = c.matroid
     outside = m.ground & ~flat
     rk_out = rank_of(m, outside)

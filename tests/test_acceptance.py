@@ -10,7 +10,7 @@ import random
 import time
 from itertools import combinations
 
-from confan.arith import Matrix, matrix_rank
+from confan.arith import Matrix
 from confan.charp import (
     fedder_witness,
     lead_term_certificate,
@@ -40,16 +40,6 @@ from confan.fans import (
     refines,
     square_conormal_fan,
 )
-from confan.incidence import (
-    dual_config,
-    duality_map,
-    jacobian_rank,
-    nonround_flats,
-    on_lambda,
-    sample_stratum_point,
-    sample_torus_point,
-    singular_witness,
-)
 from confan.matroid import (
     ClassPoly,
     flats,
@@ -62,6 +52,17 @@ from confan.matroid import (
 )
 
 from .conftest import random_config
+from .incidence import (
+    dual_config,
+    duality_map,
+    jacobian_rank,
+    matrix_rank,
+    nonround_flats,
+    on_lambda,
+    sample_stratum_point,
+    sample_torus_point,
+    singular_witness,
+)
 from .oracles import biprojective_incidence_count, parse_biflat_label
 from .test_classes import x_motivic_example
 

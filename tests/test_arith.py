@@ -12,14 +12,12 @@ from confan.arith import (
     MultiPoly,
     _is_prime,
     det,
-    kernel_basis,
-    matrix_rank,
     maximal_minors,
     poly_lead_term,
-    solve_exact,
 )
 from confan.fans import factor_rows
 
+from .incidence import kernel_basis, matrix_rank, solve_exact
 from .oracles import cone_coordinates, left_inverse, matmul, minors_rank_and_index, naive_det
 
 XY = ("x", "y")

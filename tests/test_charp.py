@@ -79,7 +79,7 @@ class TestRowReduce:
 
 
 def matrix_rank_of_first_block(m):
-    from confan.arith import matrix_rank
+    from .incidence import matrix_rank
 
     return matrix_rank(m.column_submatrix(list(range(m.nrows))))
 

@@ -115,6 +115,35 @@ class TestMatroidInfo:
         assert code == 2
         assert "CONFIG_RESOLVE_MAX_N" in err
 
+    @pytest.mark.parametrize(
+        "graph, cap, message",
+        [
+            (
+                ("1 2" + " 3" * 50_000)[:100_000],
+                "12",
+                "line 1: expected 'u v', got '1 2 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 3 '...",
+            ),
+            (
+                "1 2",
+                "x" * 5_001,
+                "CONFIG_RESOLVE_MAX_N must be an integer, got %r..." % ("x" * 40),
+            ),
+        ],
+        ids=["graph-line", "cap"],
+    )
+    def test_long_bad_input_is_quoted_short(self, tmp_path, tree_env, graph, cap, message):
+        path = tmp_path / "long.graph"
+        path.write_text(graph)
+        proc = subprocess.run(
+            [sys.executable, "-m", "confan.cli", "matroid-info", str(path)],
+            capture_output=True,
+            text=True,
+            env={**tree_env, "CONFIG_RESOLVE_MAX_N": cap},
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "parse error: %s\n" % message
+        assert len(proc.stderr.encode()) < 200
+
     @pytest.mark.parametrize("n", [10, 11, 12])
     def test_non_matroid_bases_exit_2(self, capsys, tmp_path, n):
         path = tmp_path / "pairs.bases.json"

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import confan.config
-from confan.arith import Fp, Matrix, MultiPoly, det, matrix_rank, maximal_minors
+from confan.arith import Fp, Matrix, MultiPoly, det, maximal_minors
 from confan.config import (
     Configuration,
     config_from_graph,
@@ -23,25 +23,7 @@ from confan.errors import (
     HasLoops,
     Mismatch,
     NotConnected,
-    NotOnLambda,
     RankDeficient,
-    ZeroCoordinate,
-)
-from confan.incidence import (
-    Point,
-    XRankClass,
-    dual_config,
-    duality_map,
-    hadamard_square,
-    iota_differential_check,
-    jacobian_rank,
-    nonround_flats,
-    on_lambda,
-    sample_stratum_point,
-    sample_torus_point,
-    singular_witness,
-    span_coordinates,
-    x_rank_class,
 )
 from confan.inputs import load_configuration
 from confan.matroid import (
@@ -54,6 +36,25 @@ from confan.matroid import (
 )
 
 from .conftest import random_config
+from .incidence import (
+    NotOnLambda,
+    Point,
+    XRankClass,
+    ZeroCoordinate,
+    dual_config,
+    duality_map,
+    hadamard_square,
+    iota_differential_check,
+    jacobian_rank,
+    matrix_rank,
+    nonround_flats,
+    on_lambda,
+    sample_stratum_point,
+    sample_torus_point,
+    singular_witness,
+    span_coordinates,
+    x_rank_class,
+)
 from .oracles import matmul, naive_det, psi_by_det, spanning_tree_count
 
 

@@ -7,7 +7,7 @@ from operator import or_
 
 import pytest
 
-from confan.arith import Matrix, solve_exact
+from confan.arith import Matrix
 from confan.errors import (
     HasLoops,
     LoopOrColoop,
@@ -50,6 +50,7 @@ from confan.matroid import (
 )
 
 from . import oracles
+from .incidence import solve_exact
 from .oracles import (
     NotPure,
     NotSimplicial,
