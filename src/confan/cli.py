@@ -3,7 +3,7 @@ structural verification, resolution fibre reports, invariant classes, and
 positive-characteristic certificates.
 
 Exit codes: 0 success, 1 computation error, 2 parse error, 3 a verification
-check failed, 141 stdout closed before the output was written.
+check failed, 141 stdout closed before all the output was written.
 CONFIG_RESOLVE_MAX_N caps the ground-set size (default 12).
 """
 
@@ -12,32 +12,30 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, combinations, islice
 
 from .errors import ConfanError, ParseError, VerificationFailure
 
-# Each command imports the layers it runs inside its own body, so a job
-# compiles only those: without a bytecode cache, compiling is most of a
-# short job's start-up.  `psi` and `charp`, the commands built on exact
-# arithmetic, import arith first: it is the largest module, and compiled
-# before the layers that use it, its compile needs less fresh memory (a
+# Each command imports only the layers it runs: with no bytecode cache,
+# compiling is most of a short job's start-up.  `psi` and `charp` import
+# arith first: compiled before its users, it needs less fresh memory (a
 # lower peak RSS).  The fan commands never load it on graph or basis input.
-# json is loaded only to read JSON input and, once the command has run, to
-# write `--output json`; loaded before the command, it raised the peak RSS
-# of K4 `fan --output json` by 0.2 MB.
+# json is loaded only to read JSON input and, after the command, to write
+# `--output json` (loaded before, it raised K4 `fan`'s peak RSS by 0.2 MB).
+# Output is written in batches as it is encoded, never whole.
 # `fan --which K` builds with confan.fans.K_fan, "-" read as "_".
 FAN_KINDS = ("bergman", "delta", "delta-tilde", "square-conormal")
 
 
 def _ground_cap() -> int:
     raw = os.environ.get("CONFIG_RESOLVE_MAX_N", "12")
-    try:
+    if raw.isascii() and raw.isdigit() and int(raw) > 0:
         return int(raw)
-    except ValueError:
-        from .inputs import _cut
+    from .inputs import _cut
 
-        raise ParseError(
-            "CONFIG_RESOLVE_MAX_N must be an integer, got %s" % _cut(raw, repr)
-        ) from None
+    raise ParseError(
+        "CONFIG_RESOLVE_MAX_N must be a positive integer, got %s" % _cut(raw, repr)
+    )
 
 
 def cmd_matroid_info(args, cap):
@@ -133,8 +131,8 @@ def cmd_fan(args, cap):
         "maximal cones: %d" % len(maxes),
         "dimension: %d" % dim,
     ]
-    for i, lab in enumerate(fan.labels):
-        lines.append("ray %d: %s e=%s f=%s" % (i, lab, list(fan.rays[i].e), list(fan.rays[i].f)))
+    for i, (lab, v) in enumerate(zip(fan.labels, fan.rays)):
+        lines.append("ray %d: %s e=%s f=%s" % (i, lab, list(v.e), list(v.f)))
     failures = []
     verify = {}
 
@@ -197,12 +195,10 @@ def cmd_resolve_report(args, cap):
         lines.append("  %s" % lab)
     pairs = []
     lines.append("incidence:")
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            hit = divisor_incidence([biflats[i], biflats[j]], m.n)
-            word = "incident" if hit else "disjoint"
-            lines.append("  %s | %s: %s" % (labels[i], labels[j], word))
-            pairs.append({"a": labels[i], "b": labels[j], "incident": hit})
+    for (a, p), (b, q) in combinations(zip(labels, biflats), 2):
+        hit = divisor_incidence([p, q], m.n)
+        lines.append("  %s | %s: %s" % (a, b, "incident" if hit else "disjoint"))
+        pairs.append({"a": a, "b": b, "incident": hit})
     payload = {
         "flat": args.flat,
         "subset": args.subset,
@@ -367,16 +363,17 @@ def main(argv=None) -> int:
         payload = {"command": args.command, "seed": args.seed, **payload}
         if failures:
             payload["failures"] = failures
-        out = json.dumps(payload, indent=2, ensure_ascii=False)
+        out = chain(json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload), "\n")
     else:
-        out = "\n".join(["seed: %d" % args.seed, *lines, *failures])
+        out = (s + "\n" for s in ["seed: %d" % args.seed, *lines, *failures])
     try:
-        print(out)
+        # one write per 4096 pieces: per-piece writes are slow unbuffered
+        while batch := list(islice(out, 4096)):
+            sys.stdout.write("".join(batch))
         sys.stdout.flush()
     except BrokenPipeError:
-        # the reader closed stdout early (`| head`): what is left unwritten
-        # goes to devnull, so the flush at exit stays quiet, and the status
-        # is the one a shell reports for SIGPIPE (128 + 13)
+        # stdout closed early (`| head`): the rest goes to devnull, so the
+        # flush at exit stays quiet; 141 is a shell's SIGPIPE status (128 + 13)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
     return 3 if failures else 0

@@ -576,20 +576,23 @@ def minus_shear(fan: Fan) -> Fan:
 
 
 def fan_to_json(fan: Fan) -> dict:
-    """Plain-dict form: rays with both blocks, every cone, maximal-first."""
+    """Plain-dict form: rays with both blocks, and every cone, maximal-first,
+    as the sorted tuple of its ray indices (an array in JSON)."""
     def largest_first(c):
         return -len(c), c
 
     maxes = {tuple(sorted(c)) for c in fan.maximal}
-    faces = _face_tuples(fan) - maxes
-    ordered = sorted(maxes, key=largest_first) + sorted(faces, key=largest_first)
+    faces = _face_tuples(fan)
+    faces -= maxes
+    cones = sorted(maxes, key=largest_first)
+    cones += sorted(faces, key=largest_first)
     return {
         "n": fan.n,
         "rays": [
             {"label": lab, "e": list(v.e), "f": list(v.f)}
             for lab, v in zip(fan.labels, fan.rays)
         ],
-        "cones": [list(c) for c in ordered],
+        "cones": cones,
     }
 
 

@@ -13,7 +13,7 @@ import confan.charp
 import confan.config
 import confan.fans
 import confan.inputs
-from confan.cli import main
+from confan.cli import build_parser, main
 from confan.config import config_new
 from confan.errors import Mismatch
 from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
@@ -66,10 +66,59 @@ FAILED_CHARP_JSON = """\
 """
 
 
+W4_GRAPH = "h 1\nh 2\nh 3\nh 4\n1 2\n2 3\n3 4\n4 1\n"
+K4_GRAPH = "".join("%d %d\n" % e for e in combinations(range(1, 5), 2))
+K5_GRAPH = "".join("%d %d\n" % e for e in combinations(range(1, 6), 2))
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class RecordingStdout:
+    """A stdout that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+class TestBatchedOutput:
+    @pytest.mark.parametrize(
+        "graph, argv",
+        [
+            (K4_GRAPH, ["fan", "--which", "delta-tilde", "--output", "json"]),
+            # 91,000 lines of text, many batches of them
+            (K5_GRAPH, ["resolve-report", "--flat", "1", "--subset", "E"]),
+        ],
+        ids=["k4-delta-tilde-json", "k5-report-text"],
+    )
+    def test_output_is_written_in_batches(self, tmp_path, monkeypatch, graph, argv):
+        path = tmp_path / "in.graph"
+        path.write_text(graph)
+        argv = [argv[0], str(path), *argv[1:]]
+        args = build_parser().parse_args(argv)
+        lines, payload, failures = args.fn(args, 12)
+        assert failures == []
+        if args.output == "json":
+            payload = {"command": args.command, "seed": 0, **payload}
+            whole = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+        else:
+            whole = "\n".join(["seed: 0", *lines]) + "\n"
+        stdout = RecordingStdout()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(argv) == 0
+        assert "".join(stdout.writes) == whole
+        # no write holds the document, nor even half of it
+        assert max(map(len, stdout.writes)) <= len(whole) // 2
 
 
 class TestMatroidInfo:
@@ -115,6 +164,16 @@ class TestMatroidInfo:
         assert code == 2
         assert "CONFIG_RESOLVE_MAX_N" in err
 
+    @pytest.mark.parametrize("cap", ["1_0", " 7 ", "0", "-3"])
+    def test_ground_cap_is_a_positive_decimal_integer(self, capsys, data_dir, monkeypatch, cap):
+        # int() reads the first two as 10 and 7; the last two refused every input
+        monkeypatch.setenv("CONFIG_RESOLVE_MAX_N", cap)
+        code, out, err = run_cli(capsys, "matroid-info", str(data_dir / "square_chord.graph"))
+        assert (code, out) == (2, "")
+        assert err == (
+            "parse error: CONFIG_RESOLVE_MAX_N must be a positive integer, got %r\n" % cap
+        )
+
     @pytest.mark.parametrize(
         "graph, cap, message",
         [
@@ -126,7 +185,7 @@ class TestMatroidInfo:
             (
                 "1 2",
                 "x" * 5_001,
-                "CONFIG_RESOLVE_MAX_N must be an integer, got %r..." % ("x" * 40),
+                "CONFIG_RESOLVE_MAX_N must be a positive integer, got %r..." % ("x" * 40),
             ),
         ],
         ids=["graph-line", "cap"],
@@ -507,7 +566,7 @@ class TestResolveReport:
     def test_two_digit_element_of_k5(self, capsys, tmp_path):
         # n = 10: the label "10" is element 10, as subset_label prints it
         path = tmp_path / "k5.graph"
-        path.write_text("".join("%d %d\n" % e for e in combinations(range(1, 6), 2)))
+        path.write_text(K5_GRAPH)
         code, out, _ = run_cli(
             capsys, "resolve-report", str(path), "--flat", "10", "--subset", "E",
         )
@@ -527,7 +586,7 @@ class TestResolveReport:
 
     def test_underscore_in_k5_label_exits_2(self, capsys, tmp_path):
         path = tmp_path / "k5.graph"
-        path.write_text("".join("%d %d\n" % e for e in combinations(range(1, 6), 2)))
+        path.write_text(K5_GRAPH)
         code, out, _ = run_cli(
             capsys, "resolve-report", str(path), "--flat", "1_0", "--subset", "E",
         )
@@ -777,20 +836,29 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert "det check: pass" in proc.stdout
 
-    def test_closed_stdout_exits_141_quietly(self, tmp_path, tree_env):
-        # the JSON fibre report of W4 (about 128 KB) outgrows the pipe, so
+    @pytest.mark.parametrize(
+        "output, graph, first",
+        [
+            ("json", W4_GRAPH, b"{\n"),
+            # W4's text report (about 51 KB) fits in the pipe; K5's is 3.7 MB
+            ("text", K5_GRAPH, b"seed: 0\n"),
+        ],
+        ids=["json", "text"],
+    )
+    def test_closed_stdout_exits_141_quietly(self, tmp_path, tree_env, output, graph, first):
+        # the fibre report (W4's JSON is about 128 KB) outgrows the pipe, so
         # closing it after the first line always fails a later write
-        wheel = tmp_path / "w4.graph"
-        wheel.write_text("h 1\nh 2\nh 3\nh 4\n1 2\n2 3\n3 4\n4 1\n")
+        path = tmp_path / "in.graph"
+        path.write_text(graph)
         proc = subprocess.Popen(
-            [sys.executable, "-m", "confan.cli", "resolve-report", str(wheel),
-             "--flat", "1", "--subset", "E", "--output", "json"],
+            [sys.executable, "-m", "confan.cli", "resolve-report", str(path),
+             "--flat", "1", "--subset", "E", "--output", output],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=tree_env,
             cwd=tmp_path,
         )
-        assert proc.stdout.readline() == b"{\n"
+        assert proc.stdout.readline() == first
         proc.stdout.close()
         stderr = proc.stderr.read()
         proc.stderr.close()
