@@ -1,35 +1,33 @@
-"""Certificates in positive characteristic: standard-form reduction, the lead
-terms of the bilinear generators under the x-then-u lex order, the Frobenius
-splitting witness monomial, linkage generators, and an S-pair division oracle.
+"""Certificates in positive characteristic, derived from a standard form
+over Z_(p): the lead terms of the bilinear generators under the x-then-u lex
+order and the Frobenius splitting witness; linkage generators, and an S-pair
+division oracle.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .arith import (
-    Fp,
     Matrix,
     MultiPoly,
     _is_prime,
     _promote_div,
     _residue,
+    _rref,
     poly_lead_term,
 )
 from .config import (
     Configuration,
-    config_new,
     lambda_system,
     psi_det,
     xu_variables,
 )
-from .errors import LeadTermFailure
+from .errors import HasLoops
 
 
 # x1 > ... > xn > u1 > ... > ur: plain lex on the joint exponent tuples
 ORDER_NAME = "x-lex,u-lex"
-
-
-def mono_str(mono, variables) -> str:
-    return str(MultiPoly(variables, {mono: 1}))
 
 
 def row_reduce_to_standard(c: Configuration):
@@ -49,86 +47,80 @@ def row_reduce_to_standard(c: Configuration):
     return Configuration(std), tuple(perm)
 
 
-def _expected_lead(i: int, n: int, r: int):
-    mono = [0] * (n + r)
-    mono[i] = 1
-    mono[n + i] = 1
-    return tuple(mono)
+def _valuation(x, p: int) -> int:
+    """v_p of a nonzero rational."""
+    x = Fraction(x)
+    num, den, v = x.numerator, x.denominator, 0
+    while num % p == 0:
+        num //= p
+        v += 1
+    while den % p == 0:
+        den //= p
+        v -= 1
+    return v
 
 
-def lead_term_certificate(c: Configuration) -> dict:
-    """Verify lead(q_i) = x_i*u_i for all i under the x-then-u lex order.
+def _least_valuation_standard(c: Configuration, p: int):
+    """row_reduce_to_standard on the lexicographically first basis B whose
+    minor has the least p-adic valuation: by Cramer's rule the entries of
+    A_B^-1 A are ratios of minors to det(A_B), so they are p-integral."""
+    def key(item):
+        mask, minor = item
+        return _valuation(minor, p), [j for j in range(c.n) if mask >> j & 1]
 
-    A pass certifies the generators are a Groebner basis with squarefree,
-    pairwise coprime initial terms, hence a radical complete intersection.
-    The leads x_i*u_i are squarefree and share no variable for distinct i,
-    so matching each lead to x_i*u_i is the whole check.
-
-    The certificate is the JSON-ready dict `charp --output json` prints:
-    kind "InitialIdeal", order, leads, verdict "pass" or "fail", and on a
-    fail the first mismatch as its reason.
-    """
-    variables = xu_variables(c.n, c.r)
-    leads = [poly_lead_term(q)[0] for q in lambda_system(c)]
-    cert = {
-        "kind": "InitialIdeal",
-        "order": ORDER_NAME,
-        "leads": [mono_str(m, variables) for m in leads],
-        "verdict": "pass",
-    }
-    for i, mono in enumerate(leads):
-        if mono != _expected_lead(i, c.n, c.r):
-            cert["verdict"] = "fail"
-            cert["reason"] = "lead of q%d is %s, not x%d*u%d; reduce to standard form first" % (
-                i + 1, mono_str(mono, variables), i + 1, i + 1
-            )
-            break
-    return cert
+    basis = key(min(c.minors.items(), key=key))[1]
+    perm = basis + [j for j in range(c.n) if j not in basis]
+    rows, _ = _rref(c.a.column_submatrix(perm))
+    return Configuration(Matrix(rows, ncols=c.n)), tuple(perm)
 
 
-def _reduce_mod_p(c: Configuration, p: int) -> Configuration:
-    """c mod p, checked again by config_new: the reduction can lose rank or
-    zero a column."""
-    try:
-        rows = [[Fp(_residue(x, p), p) for x in row] for row in c.a.rows]
-    except ZeroDivisionError as exc:
-        raise LeadTermFailure(str(exc)) from None
-    return config_new(Matrix(rows, ncols=c.n))
+def certificates(c: Configuration, p: int):
+    """(standard form, permutation, InitialIdeal, FPurity) of c at the prime p.
 
+    The standard form [I | B] is on the lex-first basis whose minor has the
+    least p-adic valuation, so B is p-integral: the lex-first standard form
+    (row_reduce_to_standard) when its B is, which puts it on such a basis,
+    else _least_valuation_standard.  Every p-integral standard form spans
+    the row space's lattice over Z_(p), so a column of B vanishes mod p on
+    all of them or on none: it is a loop mod p, and HasLoops names the least
+    such input column.  A p that is not prime, or an F_q entry with q != p,
+    is a ValueError.
 
-def fedder_witness(c: Configuration, p: int) -> dict:
-    """Splitting witness mod p: the lead monomial of (q_1*...*q_r)^(p-1).
-
-    The verdict is the lead-term certificate of c reduced mod p and nothing
-    else: it fails, with that certificate's reason, unless the leads mod p
-    are x_i*u_i.  When they are, the q_i form a complete intersection with
-    squarefree initial ideal, and the lead of (q_1*...*q_r)^(p-1) is the
-    witness prod x_i^(p-1) u_i^(p-1), read off the leads without expanding
-    the power.  Every exponent of the witness is below p, so the power lies
-    outside the Frobenius power m^[p] of the maximal ideal, and Fedder's
-    criterion (Fedder 1983) deduces F-purity.  The pass is that deduction,
-    not a further check.
+    Nothing else can fail.  Column i <= r of [I | B] is e_i, so
+    q_i = (A diag(x) A^T u)_i is x_i*u_i plus terms in x_k with k > r: its
+    lead under x-then-u lex is x_i*u_i, over Z_(p) and mod p.  Those leads
+    are squarefree and pairwise coprime, so the q_i are a Groebner basis of a
+    complete intersection, and the lead of (q_1*...*q_r)^(p-1) is the witness
+    prod x_i^(p-1) u_i^(p-1), outside the Frobenius power m^[p] of the
+    maximal ideal: Fedder's criterion (Fedder 1983) gives F-purity.  Both
+    verdicts are that derivation, which the certificates, the JSON dicts
+    `charp --output json` prints, record as "pass".
     """
     if not _is_prime(p):
         raise ValueError("p must be prime, got %d" % p)
-    reduced = _reduce_mod_p(c, p)
-    variables = xu_variables(c.n, c.r)
-    witness = [0] * (c.n + c.r)
-    for i in range(c.r):
-        witness[i] = p - 1
-        witness[c.n + i] = p - 1
-    initial = lead_term_certificate(reduced)
-    cert = {
+    std, perm = row_reduce_to_standard(c)
+    r = c.r
+    try:
+        tail = [[_residue(x, p) for x in row[r:]] for row in std.a.rows]
+    except ZeroDivisionError:
+        std, perm = _least_valuation_standard(c, p)
+        tail = [[_residue(x, p) for x in row[r:]] for row in std.a.rows]
+    loops = [perm[r + k] for k, column in enumerate(zip(*tail)) if not any(column)]
+    if loops:
+        raise HasLoops("column %d vanishes mod %d (a loop)" % (min(loops) + 1, p))
+    leads = ["x%d*u%d" % (i, i) for i in range(1, r + 1)]
+    power = "" if p == 2 else "^%d" % (p - 1)
+    initial = {"kind": "InitialIdeal", "order": ORDER_NAME, "leads": leads, "verdict": "pass"}
+    fpurity = {
         "kind": "FPurity",
         "order": ORDER_NAME,
-        "leads": initial["leads"],
-        "witness": mono_str(tuple(witness), variables),
+        "leads": leads,
+        "witness": "*".join("%s%d%s" % (v, i, power) for v in "xu" for i in range(1, r + 1)),
         "p": p,
         "witness_exponent": p - 1,
+        "verdict": "pass",
     }
-    # the verdict, and on a fail its reason, are the lead-term certificate's
-    cert.update((k, initial[k]) for k in ("verdict", "reason") if k in initial)
-    return cert
+    return std, perm, initial, fpurity
 
 
 def linkage_generators(c: Configuration):
@@ -182,8 +174,8 @@ def spair_reduction_check(c: Configuration) -> bool:
     """Every S-pair of the bilinear generators divides to zero.  Exhaustive.
 
     This is a cross-check of the division code, not evidence that the
-    generators form a Groebner basis: the lead terms are pairwise coprime
-    (lead_term_certificate checks that), and by Buchberger's first criterion
+    generators form a Groebner basis: on a standard form the lead terms are
+    pairwise coprime (see certificates), and by Buchberger's first criterion
     the S-pair of two polynomials with coprime leads always reduces to zero.
     """
     qs = lambda_system(c)

@@ -14,7 +14,6 @@ from .errors import (
     NotRound,
 )
 from .matroid import (
-    T_MINUS_1,
     ClassPoly,
     Matroid,
     contraction_char_polys,
@@ -60,7 +59,7 @@ def motivic_class(m: Matroid) -> ClassPoly:
         by_weight[k] = by_weight[k] + chi if k in by_weight else chi
     total = ClassPoly([], "L")
     for k, chi in by_weight.items():
-        total = total + chi.div_exact(T_MINUS_1).with_symbol("L") * _projective_space(k)
+        total = total + chi.div_t_minus_1().with_symbol("L") * _projective_space(k)
     return total
 
 

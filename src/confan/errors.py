@@ -77,9 +77,3 @@ class NotAFlat(ConfanError):
 
 class NotRound(ConfanError):
     """Operation requires a round matroid."""
-
-
-# charp
-
-class LeadTermFailure(ConfanError):
-    """Certificate prerequisite on lead terms failed."""

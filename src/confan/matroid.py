@@ -135,23 +135,16 @@ class ClassPoly:
             total = total * x + c
         return total
 
-    def div_exact(self, other: "ClassPoly") -> "ClassPoly":
-        """Exact quotient; raises NonDivisible on a nonzero remainder."""
-        rem = list(self.coeffs)
-        d = other.coeffs
-        if not d:
-            raise NonDivisible("division by zero polynomial")
-        out = [0] * max(len(rem) - len(d) + 1, 0)
-        for i in range(len(rem) - len(d), -1, -1):
-            q, r = divmod(rem[i + len(d) - 1], d[-1])
-            if r:
-                raise NonDivisible("leading coefficient does not divide")
-            out[i] = q
-            for j, dc in enumerate(d):
-                rem[i + j] -= q * dc
-        if any(rem):
+    def div_t_minus_1(self) -> "ClassPoly":
+        """Exact quotient by t - 1, by synthetic division; raises NonDivisible
+        on a nonzero remainder, which is the value at 1."""
+        out, acc = [], 0
+        for c in reversed(self.coeffs):
+            acc += c
+            out.append(acc)
+        if acc:
             raise NonDivisible("nonzero remainder")
-        return ClassPoly(out, self.symbol)
+        return ClassPoly(out[-2::-1], self.symbol)
 
     def with_symbol(self, symbol: str) -> "ClassPoly":
         return ClassPoly(self.coeffs, symbol)
@@ -570,9 +563,6 @@ def contraction_char_polys(m: Matroid) -> dict:
     return out
 
 
-T_MINUS_1 = ClassPoly([-1, 1], "t")
-
-
 def reduced_char_poly(m: Matroid) -> ClassPoly:
     """char_poly divided exactly by (t - 1)."""
-    return char_poly(m).div_exact(T_MINUS_1)
+    return char_poly(m).div_t_minus_1()

@@ -395,6 +395,34 @@ def minors_rank_and_index(rows, ncols):
     return rank, index
 
 
+def standard_basis_mod_p(rows, p):
+    """(basis, loops) of a full-rank rational matrix at the prime p, from
+    the p-adic valuation of every maximal minor, all 0-based: the
+    lexicographically first basis whose minor has the least valuation, and
+    the columns that vanish mod p in the standard form over Z_(p).  The
+    bases of the row lattice mod p are the bases of least valuation, so a
+    column vanishes exactly when no basis that contains it reaches it."""
+
+    def valuation(x):
+        num, den, v = x.numerator, x.denominator, 0
+        while num % p == 0:
+            num, v = num // p, v + 1
+        while den % p == 0:
+            den, v = den // p, v - 1
+        return v
+
+    r, n = len(rows), len(rows[0])
+    values = {}
+    for cols in combinations(range(n), r):
+        d = Fraction(naive_det([[Fraction(rows[i][j]) for j in cols] for i in range(r)]))
+        if d:
+            values[cols] = valuation(d)
+    least = min(values.values())
+    bases = [cols for cols, v in values.items() if v == least]
+    reached = {j for cols in bases for j in cols}
+    return bases[0], [j for j in range(n) if j not in reached]
+
+
 # ---------------------------------------------------------------------------
 # per-cone checks
 # ---------------------------------------------------------------------------

@@ -11,12 +11,7 @@ import time
 from itertools import combinations
 
 from confan.arith import Matrix
-from confan.charp import (
-    fedder_witness,
-    lead_term_certificate,
-    row_reduce_to_standard,
-    spair_reduction_check,
-)
+from confan.charp import certificates, row_reduce_to_standard, spair_reduction_check
 from confan.classes import (
     a_invariant,
     chow_bidegree,
@@ -238,16 +233,15 @@ def test_criterion_10_positive_characteristic_certificates():
     c = fresh_square_chord()
     std, perm = row_reduce_to_standard(c)
     assert perm == (0, 1, 2, 3, 4)
-    cert = lead_term_certificate(std)
-    assert cert["verdict"] == "pass"
-    assert cert["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
     rng = random.Random(10)
     for _ in range(10):
         cand, _ = row_reduce_to_standard(random_config(rng, max_n=6))
-        assert lead_term_certificate(cand)["verdict"] == "pass"
+        assert spair_reduction_check(cand)
     for p in (2, 3, 5, 7):
-        fcert = fedder_witness(std, p)
-        assert fcert["verdict"] == "pass"
+        _, perm, cert, fcert = certificates(c, p)
+        assert perm == (0, 1, 2, 3, 4)
+        assert cert["verdict"] == fcert["verdict"] == "pass"
+        assert cert["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
         assert fcert["witness_exponent"] == p - 1
     assert spair_reduction_check(std)
     report(10, "lead terms, Fedder witnesses p in {2,3,5,7}, S-pairs reduce")

@@ -6,18 +6,40 @@ import pytest
 from confan.arith import Fp, Matrix, MultiPoly, poly_lead_term
 from confan.charp import (
     ORDER_NAME,
+    certificates,
     divide_remainder,
-    fedder_witness,
-    lead_term_certificate,
     linkage_generators,
-    mono_str,
     row_reduce_to_standard,
     spair_reduction_check,
 )
-from confan.config import config_new, lambda_system, psi_basis_expansion
-from confan.errors import LeadTermFailure, RankDeficient
+from confan.config import config_new, lambda_system, psi_basis_expansion, xu_variables
+from confan.errors import HasLoops
 
 from .conftest import random_config
+
+
+def leads(c):
+    """The lead monomial of each form of config.lambda_system under the
+    x-then-u lex order, printed: the computation `certificates` derives
+    instead, kept here as a guard of lambda_system."""
+    variables = xu_variables(c.n, c.r)
+    return [str(MultiPoly(variables, {poly_lead_term(q)[0]: 1})) for q in lambda_system(c)]
+
+
+def standard_leads(r):
+    return ["x%d*u%d" % (i, i) for i in range(1, r + 1)]
+
+
+def random_config_f7(rng, max_n=6):
+    """A random full-rank loopless configuration over F_7."""
+    while True:
+        n = rng.randint(2, max_n)
+        r = rng.randint(1, n - 1)
+        rows = [[Fp(rng.randrange(7), 7) for _ in range(n)] for _ in range(r)]
+        try:
+            return config_new(Matrix(rows))
+        except Exception:
+            continue
 
 
 class TestBlockOrder:
@@ -30,11 +52,6 @@ class TestBlockOrder:
         assert a > b
         q = MultiPoly(("x1", "x2", "x3", "u1", "u2"), {a: 1, b: 2})
         assert poly_lead_term(q) == (a, 1)
-
-    def test_mono_str(self):
-        vs = ("x1", "x2", "u1")
-        assert mono_str((2, 0, 1), vs) == "x1^2*u1"
-        assert mono_str((0, 0, 0), vs) == "1"
 
 
 class TestRowReduce:
@@ -86,33 +103,40 @@ def matrix_rank_of_first_block(m):
 
 class TestLeadTerms:
     def test_square_chord_certificate(self, square_chord_config):
-        cert = lead_term_certificate(square_chord_config)
+        std, _, cert, _ = certificates(square_chord_config, 2)
         assert cert["kind"] == "InitialIdeal"
         assert cert["verdict"] == "pass"
         assert cert["order"] == "x-lex,u-lex"
-        assert cert["leads"] == ["x1*u1", "x2*u2", "x3*u3"]
+        assert cert["leads"] == leads(std) == ["x1*u1", "x2*u2", "x3*u3"]
 
     def test_random_standard_forms(self, rng):
+        # over Q and over F_7, the leads of lambda_system on a standard form
+        # are those certificates derives
         for _ in range(10):
-            c = random_config(rng, max_n=6)
-            std, _ = row_reduce_to_standard(c)
-            cert = lead_term_certificate(std)
-            expected = ["x%d*u%d" % (i + 1, i + 1) for i in range(std.r)]
-            assert cert["leads"] == expected
+            std, _ = row_reduce_to_standard(random_config(rng, max_n=6))
+            assert leads(std) == standard_leads(std.r)
+        for _ in range(10):
+            std, _, cert, _ = certificates(random_config_f7(rng), 7)
+            assert leads(std) == cert["leads"] == standard_leads(std.r)
 
-    def test_non_standard_form_violates(self):
-        # first column of A is zero in row 1, so lead(q1) is not x1*u1
-        c = config_new(Matrix(((0, 1, 1), (1, 1, 0))))
-        cert = lead_term_certificate(c)
-        assert cert["verdict"] == "fail"
-        assert cert["reason"] == "lead of q1 is x2*u1, not x1*u1; reduce to standard form first"
-        assert cert["leads"] == ["x2*u1", "x1*u2"]
+    def test_non_standard_form_violates(self, square_chord_config):
+        # off standard form the leads of lambda_system are not x_i*u_i;
+        # certificates reads them from the standard form it builds
+        shuffled = config_new(square_chord_config.a.column_submatrix([3, 4, 0, 1, 2]))
+        cases = [
+            (config_new(Matrix(((0, 1, 1), (1, 1, 0)))), ["x2*u1", "x1*u2"]),
+            (shuffled, ["x1*u1", "x1*u1", "x2*u1"]),
+        ]
+        for c, found in cases:
+            assert leads(c) == found != standard_leads(c.r)
+            std, _, cert, _ = certificates(c, 3)
+            assert cert["leads"] == leads(std) == standard_leads(c.r)
 
 
 class TestFedder:
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
     def test_square_chord_witness(self, square_chord_config, p):
-        cert = fedder_witness(square_chord_config, p)
+        cert = certificates(square_chord_config, p)[3]
         assert cert["verdict"] == "pass"
         assert cert["p"] == p
         assert cert["witness_exponent"] == p - 1
@@ -121,49 +145,61 @@ class TestFedder:
 
     def test_u23_witness_p3(self):
         c = config_new(Matrix(((1, 0, 1), (0, 1, 1))))
-        cert = fedder_witness(c, 3)
+        cert = certificates(c, 3)[3]
         assert cert["witness"] == "x1^2*x2^2*u1^2*u2^2"
         assert cert["verdict"] == "pass"
 
     def test_fails_off_standard_form(self, square_chord_config):
-        # the identity block moved to the back: the leads are not x_i*u_i,
-        # and the verdict is that of the lead-term certificate mod p
+        # the identity block moved to the back: the input's own leads are
+        # not x_i*u_i, and certificates brings the block to the front again
         shuffled = config_new(square_chord_config.a.column_submatrix([3, 4, 0, 1, 2]))
-        cert = fedder_witness(shuffled, 3)
-        initial = lead_term_certificate(shuffled)
-        assert initial["verdict"] == cert["verdict"] == "fail"
-        assert cert["reason"] == initial["reason"] == (
-            "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
-        )
-        assert cert["leads"] == initial["leads"] == ["x1*u1", "x1*u1", "x2*u1"]
-        std, _ = row_reduce_to_standard(shuffled)
-        assert fedder_witness(std, 3)["verdict"] == "pass"
+        assert leads(shuffled) == ["x1*u1", "x1*u1", "x2*u1"]
+        std, perm, _, cert = certificates(shuffled, 3)
+        assert perm == (0, 1, 2, 3, 4)
+        assert [row[:3] for row in std.a.rows] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        assert cert["verdict"] == "pass"
 
-    def test_rank_drop_mod_p_raises(self):
-        # the rows agree mod 3, and the rank check comes before column 3,
-        # which vanishes too
+    def test_rank_drop_mod_p_of_the_input_is_no_refusal(self):
+        # the input's rows agree mod 3, but its standard form
+        # [[1, 0, -1], [0, 1, 1]] keeps rank 2 and no zero column mod 3
         c = config_new(Matrix(((1, 1, 0), (1, 4, 3))))
-        with pytest.raises(RankDeficient, match="^row rank below 2$"):
-            fedder_witness(c, 3)
+        std, perm, _, cert = certificates(c, 3)
+        assert perm == (0, 1, 2)
+        assert std.a.rows == ((1, 0, -1), (0, 1, 1))
+        assert cert["verdict"] == "pass"
 
     def test_rejects_composite(self, square_chord_config):
         with pytest.raises(ValueError):
-            fedder_witness(square_chord_config, 6)
+            certificates(square_chord_config, 6)
 
     def test_rejects_denominator_divisible_by_p(self):
+        # the lex-first standard form is the input, with the entry 1/2; the
+        # minors are 1 on {1, 2} and {1, 3} and -1/2 on {2, 3}, so every
+        # basis of least 2-adic valuation avoids column 1, which vanishes
+        # mod 2 in their standard form
         c = config_new(Matrix(((1, 0, Fraction(1, 2)), (0, 1, 1))))
-        with pytest.raises(LeadTermFailure):
-            fedder_witness(c, 2)
+        with pytest.raises(HasLoops, match=r"^column 1 vanishes mod 2 \(a loop\)$"):
+            certificates(c, 2)
         # the same configuration is fine at p = 3
-        assert fedder_witness(c, 3)["verdict"] == "pass"
+        assert certificates(c, 3)[1] == (0, 1, 2)
+
+    def test_denominator_divisible_by_p_takes_another_basis(self):
+        # the lex-first standard form has entries 1/3 and 2/3; the minor of
+        # {1, 3} is -1, a unit mod 3, and the least basis that has one
+        c = config_new(Matrix(((1, 1, 1, 0), (1, -2, 0, 1))))
+        std, perm, _, cert = certificates(c, 3)
+        assert perm == (0, 2, 1, 3)
+        assert std.a.rows == ((1, 0, -2, 1), (0, 1, 3, -1))
+        assert leads(std) == cert["leads"] == ["x1*u1", "x2*u2"]
+        assert cert["verdict"] == "pass"
 
     def test_fp_input_must_match_p(self):
         c = config_new(
             Matrix(((Fp(1, 5), Fp(0, 5), Fp(2, 5)), (Fp(0, 5), Fp(1, 5), Fp(1, 5))))
         )
-        assert fedder_witness(c, 5)["verdict"] == "pass"
+        assert certificates(c, 5)[3]["verdict"] == "pass"
         with pytest.raises(ValueError):
-            fedder_witness(c, 3)
+            certificates(c, 3)
 
 
 class TestLinkage:
@@ -217,7 +253,7 @@ class TestSPairs:
 
 class TestCertificateJson:
     def test_round_trip(self, square_chord_config):
-        cert = fedder_witness(square_chord_config, 5)
+        cert = certificates(square_chord_config, 5)[3]
         assert json.loads(json.dumps(cert)) == cert
         assert list(cert) == [
             "kind", "order", "leads", "witness", "p", "witness_exponent", "verdict",
@@ -227,7 +263,7 @@ class TestCertificateJson:
         assert cert["verdict"] == "pass"
 
     def test_initial_ideal_json(self, square_chord_config):
-        cert = lead_term_certificate(square_chord_config)
+        cert = certificates(square_chord_config, 5)[2]
         assert cert == {
             "kind": "InitialIdeal",
             "order": "x-lex,u-lex",

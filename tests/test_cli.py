@@ -1,8 +1,11 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import time
+from collections import Counter
+from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
 
@@ -14,56 +17,11 @@ import confan.config
 import confan.fans
 import confan.inputs
 from confan.cli import build_parser, main
-from confan.config import config_new
 from confan.errors import Mismatch
 from confan.fans import Fan, LatticeVector, delta_tilde_fan, fan_from_json
 from confan.matroid import Matroid
 
-
-# `charp --output json` on the shuffled standard form at p = 3, byte for byte:
-# the two certificates carry their reason after the verdict
-FAILED_CHARP_JSON = """\
-{
-  "command": "charp",
-  "seed": 0,
-  "permutation": [
-    4,
-    5,
-    1,
-    2,
-    3
-  ],
-  "initial": {
-    "kind": "InitialIdeal",
-    "order": "x-lex,u-lex",
-    "leads": [
-      "x1*u1",
-      "x1*u1",
-      "x2*u1"
-    ],
-    "verdict": "fail",
-    "reason": "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
-  },
-  "fpurity": {
-    "kind": "FPurity",
-    "order": "x-lex,u-lex",
-    "leads": [
-      "x1*u1",
-      "x1*u1",
-      "x2*u1"
-    ],
-    "witness": "x1^2*x2^2*x3^2*u1^2*u2^2*u3^2",
-    "p": 3,
-    "witness_exponent": 2,
-    "verdict": "fail",
-    "reason": "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
-  },
-  "failures": [
-    "initial ideal certificate failed: lead of q2 is x1*u1, not x2*u2; reduce to standard form first",
-    "fedder witness failed: lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
-  ]
-}
-"""
+from .oracles import naive_det, standard_basis_mod_p
 
 
 W4_GRAPH = "h 1\nh 2\nh 3\nh 4\n1 2\n2 3\n3 4\n4 1\n"
@@ -643,8 +601,8 @@ class TestCharp:
         assert run_cli(capsys, "charp", matrix, "--p", "3", "--strict")[0] == 0
 
     def test_one_minor_table_per_run(self, capsys, data_dir, monkeypatch):
-        # charp reads the input's echelon form, never its minor table; the
-        # standard form and its reduction mod p are checked without one
+        # charp reads the input's echelon form, never its minor table, when
+        # the lex-first standard form is p-integral, as it is here
         calls = []
         real = confan.arith.maximal_minors
 
@@ -663,7 +621,7 @@ class TestCharp:
     def test_one_elimination_of_the_input_per_run(self, capsys, data_dir, monkeypatch):
         # config_new's rank check, first_basis, the standard form and
         # psi_det's factor A = A_P R all read the one echelon form of the
-        # input; config_new checks the reduction mod p by its own
+        # input; charp reduces only the entries of B mod p, by no elimination
         calls = []
         real = confan.config._rref
 
@@ -676,21 +634,109 @@ class TestCharp:
 
         monkeypatch.setattr(confan.config, "_rref", counted)
         for argv, inputs, reductions in [
-            (["charp", "square_chord.mat.json", "--p", "3", "--strict"], 1, 1),
-            (["psi", "square_chord.mat.json", "--check-det"], 2, 1),
-            (["charp", "square_chord.graph", "--p", "5"], 3, 2),
+            (["charp", "square_chord.mat.json", "--p", "3", "--strict"], 1, 0),
+            (["psi", "square_chord.mat.json", "--check-det"], 2, 0),
+            (["charp", "square_chord.graph", "--p", "5"], 3, 0),
         ]:
             argv[1] = str(data_dir / argv[1])
             assert run_cli(capsys, *argv)[0] == 0
             assert sum(not mod_p(m) for m in calls) == inputs
             assert sum(map(mod_p, calls)) == reductions
 
+    def test_certificates_do_no_polynomial_work(self, capsys, data_dir, monkeypatch):
+        # without --strict the leads and the witness are derived from the
+        # standard form, never read off the bilinear forms
+        def refuse(c):
+            raise AssertionError("lambda_system called")
+
+        for module in (confan.config, confan.charp):
+            monkeypatch.setattr(module, "lambda_system", refuse)
+        for name in ("square_chord.mat.json", "q48_halves.mat.json", "f7_3x7.mat.json"):
+            p = "7" if name.startswith("f7") else "3"
+            assert run_cli(capsys, "charp", str(data_dir / name), "--p", p)[0] == 0
+        matrix = str(data_dir / "square_chord.mat.json")
+        with pytest.raises(AssertionError, match="lambda_system called"):
+            run_cli(capsys, "charp", matrix, "--p", "3", "--strict")
+
     def test_standard_form_with_a_zero_column_mod_p_exits_1(self, capsys, tmp_path):
-        path = tmp_path / "loop7.json"
-        path.write_text(json.dumps({"rows": [["1", "0", "7", "1"], ["0", "1", "0", "1"]]}))
-        assert run_cli(capsys, "charp", str(path), "--p", "7") == (
-            1, "", "error: column 3 is zero (a loop)\n"
+        # the refusal names the input column, whatever the permutation
+        path = tmp_path / "loop.json"
+        for rows, p, err in [
+            ([["1", "0", "7", "1"], ["0", "1", "0", "1"]], "7",
+             "error: column 3 vanishes mod 7 (a loop)\n"),
+            ([["1", "2", "0"], ["0", "0", "1"]], "2",
+             "error: column 2 vanishes mod 2 (a loop)\n"),
+        ]:
+            path.write_text(json.dumps({"rows": rows}))
+            assert run_cli(capsys, "charp", str(path), "--p", p) == (1, "", err)
+        # the second input, at p = 3: its standard form puts column 3 second
+        assert run_cli(capsys, "charp", str(path), "--p", "3")[1].splitlines()[1] == (
+            "permutation: 1 3 2"
         )
+
+    def test_prime_dividing_the_lex_first_minor_is_certified(self, capsys, data_dir, tmp_path):
+        # the lex-first standard forms have denominators divisible by 3;
+        # bases {1, 3, 5, 6} (minor -4) and {1, 3} (minor -1) are units mod 3
+        path = tmp_path / "m2x4.json"
+        path.write_text(json.dumps({"rows": [["1", "1", "1", "0"], ["1", "-2", "0", "1"]]}))
+        for input_, perm in [
+            (data_dir / "q48_halves.mat.json", "1 3 5 6 2 4 7 8"),
+            (path, "1 3 2 4"),
+        ]:
+            code, out, _ = run_cli(capsys, "charp", str(input_), "--p", "3", "--strict")
+            assert code == 0
+            assert out.splitlines()[1] == "permutation: %s" % perm
+            assert out.splitlines()[-1] == "s-pair reduction: pass"
+
+    def test_every_prime_up_to_50(self, capsys, tmp_path):
+        # seeded configurations over Q, integer and rational, loopless and of
+        # full rank: charp --p P exits 0 on the oracle's basis, or exits 1
+        # exactly when the oracle has a column vanish mod P, naming the least
+        rng = random.Random(32)
+        primes = [p for p in range(2, 51) if all(p % d for d in range(2, p))]
+        entries = ["0", "0", "1", "-1", "2", "3", "-4", "5", "6", "7", "-10", "14",
+                   "1/2", "-2/3", "3/5", "7/4", "11/6", "13"]
+        path = tmp_path / "c.json"
+        outcomes = Counter()
+        drawn = 0
+        while drawn < 40:
+            n = rng.randint(2, 6)
+            r = rng.randint(1, n - 1)
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(r)]
+            if not all(any(Fraction(row[j]) for row in rows) for j in range(n)):
+                continue
+            lex_first = next((
+                cols for cols in combinations(range(n), r)
+                if naive_det([[Fraction(rows[i][j]) for j in cols] for i in range(r)])
+            ), None)
+            if lex_first is None:
+                continue
+            drawn += 1
+            path.write_text(json.dumps({"rows": rows}))
+            for p in primes:
+                basis, loops = standard_basis_mod_p(rows, p)
+                code, out, err = run_cli(capsys, "charp", str(path), "--p", str(p))
+                if loops:
+                    assert (code, out) == (1, "")
+                    assert err == "error: column %d vanishes mod %d (a loop)\n" % (
+                        loops[0] + 1, p
+                    )
+                    outcomes["loop"] += 1
+                    continue
+                assert code == 0, err
+                perm = list(basis) + [j for j in range(n) if j not in basis]
+                assert out.splitlines()[1:] == [
+                    "permutation: %s" % " ".join(str(j + 1) for j in perm),
+                    "initial ideal: pass (leads %s)"
+                    % ", ".join("x%d*u%d" % (i, i) for i in range(1, r + 1)),
+                    "fedder witness (p=%d): %s -> pass" % (p, "*".join(
+                        "%s%d%s" % (v, i, "" if p == 2 else "^%d" % (p - 1))
+                        for v in "xu" for i in range(1, r + 1)
+                    )),
+                ]
+                outcomes["lex-first" if basis == lex_first else "other basis"] += 1
+        # every branch is reached
+        assert len(outcomes) == 3, outcomes
 
     def test_square_chord_p2_strict(self, capsys, data_dir):
         code, out, _ = run_cli(
@@ -743,26 +789,6 @@ class TestCharp:
             capsys, "charp", str(data_dir / "square_chord.graph"), "--p", "3"
         )
         assert code == 0
-
-    def test_failed_initial_ideal_exits_3(self, capsys, data_dir, monkeypatch):
-        # the identity block moved to the back, as the standard form
-        def shuffled(c):
-            return config_new(c.a.column_submatrix([3, 4, 0, 1, 2])), (3, 4, 0, 1, 2)
-
-        monkeypatch.setattr(confan.charp, "row_reduce_to_standard", shuffled)
-        reason = "lead of q2 is x1*u1, not x2*u2; reduce to standard form first"
-        argv = ["charp", str(data_dir / "square_chord.mat.json"), "--p", "3"]
-        code, out, _ = run_cli(capsys, *argv)
-        assert code == 3
-        assert out.splitlines()[2:] == [
-            "initial ideal: fail (leads x1*u1, x1*u1, x2*u1)",
-            "fedder witness (p=3): x1^2*x2^2*x3^2*u1^2*u2^2*u3^2 -> fail",
-            "initial ideal certificate failed: %s" % reason,
-            "fedder witness failed: %s" % reason,
-        ]
-        code, out, _ = run_cli(capsys, *argv, "--output", "json")
-        assert code == 3
-        assert out == FAILED_CHARP_JSON
 
 
 REPO = Path(__file__).resolve().parent.parent

@@ -75,7 +75,8 @@ def _cases():
             cases["psi-%s-%s" % (tag, output)] = ["psi", name, "--check-det"] + tail
             cases["charp-%s-%s" % (tag, output)] = ["charp", name] + charp + tail
             cases["matroid-info-%s-%s" % (tag, output)] = ["matroid-info", name] + tail
-    # a prime dividing a denominator of the standard form: exit 1, no stdout
+    # 3 divides a denominator of the lex-first standard form, so charp takes
+    # the lex-first basis whose minor is a unit mod 3
     cases["charp-q48-p3-text"] = ["charp", "q48_halves.mat.json", "--p", "3"]
     return cases
 
