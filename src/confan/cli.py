@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, combinations, islice
+from itertools import chain, combinations
 
 from .errors import ConfanError, ParseError, VerificationFailure
 
@@ -20,9 +20,8 @@ from .errors import ConfanError, ParseError, VerificationFailure
 # compiling is most of a short job's start-up.  `psi` and `charp` import
 # arith first: compiled before its users, it needs less fresh memory (a
 # lower peak RSS).  The fan commands never load it on graph or basis input.
-# json is loaded only to read JSON input and, after the command, to write
-# `--output json` (loaded before, it raised K4 `fan`'s peak RSS by 0.2 MB).
-# Output is written in batches as it is encoded, never whole.
+# json is loaded only to read JSON input, and jsonwriter only after the
+# command, for `--output json`; output is written as it is made (main).
 # `fan --which K` builds with confan.fans.K_fan, "-" read as "_".
 FAN_KINDS = ("bergman", "delta", "delta-tilde", "square-conormal")
 
@@ -53,11 +52,7 @@ def cmd_matroid_info(args, cap):
     m = load_matroid(args.input, args.format, cap)
     lattice = flats(m)
     nonround = [subset_label(f, m.n) for f in roundness_witnesses(m)]
-    lines = [
-        "elements: %d" % m.n,
-        "rank: %d" % m.r,
-        "bases: %d" % len(m.bases),
-    ]
+    lines = ["elements: %d" % m.n, "rank: %d" % m.r, "bases: %d" % len(m.bases)]
     flat_report = {}
     for k in range(m.r + 1):
         labels = [subset_label(f, m.n) for f, rk in lattice.items() if rk == k]
@@ -124,12 +119,8 @@ def cmd_fan(args, cap):
         if len(c) <= dim:
             break
         dim = max(dim, fan.cone_dim(c))
-    lines = [
-        "fan: %s" % args.which,
-        "rays: %d" % len(fan.rays),
-        "maximal cones: %d" % len(maxes),
-        "dimension: %d" % dim,
-    ]
+    lines = ["fan: %s" % args.which, "rays: %d" % len(fan.rays)]
+    lines += ["maximal cones: %d" % len(maxes), "dimension: %d" % dim]
     for i, (lab, v) in enumerate(zip(fan.labels, fan.rays)):
         lines.append("ray %d: %s e=%s f=%s" % (i, lab, list(v.e), list(v.f)))
     failures = []
@@ -185,26 +176,23 @@ def cmd_resolve_report(args, cap):
         smask = parse_subset_label(args.subset, m.n)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    # the fibre fan's rays are its biflats; the report needs no cone of it
+    # the fibre fan's rays are its biflats; the report needs no cone of it,
+    # and only the output that is printed is built
     biflats = fibre_biflats(m, fmask, smask)
     labels = [biflat_label(p, m.n) for p in biflats]
-    lines = ["fibre rays (%d): %s" % (len(labels), ", ".join(labels))]
-    lines.append("divisors:")
-    for lab in labels:
-        lines.append("  %s" % lab)
-    pairs = []
-    lines.append("incidence:")
-    for (a, p), (b, q) in combinations(zip(labels, biflats), 2):
-        hit = divisor_incidence([p, q], m.n)
+    pairs = (
+        (a, b, divisor_incidence([p, q], m.n))
+        for (a, p), (b, q) in combinations(zip(labels, biflats), 2)
+    )
+    if args.output == "json":
+        payload = {"flat": args.flat, "subset": args.subset, "rays": labels}
+        payload["incidence"] = [{"a": a, "b": b, "incident": hit} for a, b, hit in pairs]
+        return [], payload, []
+    lines = ["fibre rays (%d): %s" % (len(labels), ", ".join(labels)), "divisors:"]
+    lines += ["  " + lab for lab in labels] + ["incidence:"]
+    for a, b, hit in pairs:
         lines.append("  %s | %s: %s" % (a, b, "incident" if hit else "disjoint"))
-        pairs.append({"a": a, "b": b, "incident": hit})
-    payload = {
-        "flat": args.flat,
-        "subset": args.subset,
-        "rays": labels,
-        "incidence": pairs,
-    }
-    return lines, payload, []
+    return lines, {}, []
 
 
 def cmd_classes(args, cap):
@@ -267,11 +255,7 @@ def cmd_charp(args, cap):
         "fedder witness (p=%d): %s -> %s" % (args.p, fcert["witness"], fcert["verdict"]),
     ]
     failures = []
-    payload = {
-        "permutation": [j + 1 for j in perm],
-        "initial": cert,
-        "fpurity": fcert,
-    }
+    payload = {"permutation": [j + 1 for j in perm], "initial": cert, "fpurity": fcert}
     if args.strict:
         ok = spair_reduction_check(std)
         payload["spairs"] = "pass" if ok else "fail"
@@ -286,10 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input", help="input file (.graph, .json, .bases.json)")
     common.add_argument(
-        "--format",
-        choices=("graph", "matrix", "bases"),
-        default=None,
-        help="override format detection",
+        "--format", choices=("graph", "matrix", "bases"), help="override format detection"
     )
     common.add_argument("--seed", type=int, default=0, help="seed for sampled searches")
     common.add_argument("--output", choices=("text", "json"), default="text")
@@ -303,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("matroid-info", parents=[common]).set_defaults(fn=cmd_matroid_info)
 
     p_psi = sub.add_parser("psi", parents=[common])
-    p_psi.add_argument("--check-det", action="store_true", dest="check_det")
+    p_psi.add_argument("--check-det", action="store_true")
     p_psi.set_defaults(fn=cmd_psi)
 
     p_fan = sub.add_parser("fan", parents=[common])
@@ -347,18 +328,23 @@ def main(argv=None) -> int:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     if args.output == "json":
-        import json
+        from .jsonwriter import iterencode
 
         payload = {"command": args.command, "seed": args.seed, **payload}
         if failures:
             payload["failures"] = failures
-        out = chain(json.JSONEncoder(indent=2, ensure_ascii=False).iterencode(payload), "\n")
+        out = chain(iterencode(payload), "\n")
     else:
         out = (s + "\n" for s in ["seed: %d" % args.seed, *lines, *failures])
     try:
-        # one write per 4096 pieces: per-piece writes are slow unbuffered
-        while batch := list(islice(out, 4096)):
-            sys.stdout.write("".join(batch))
+        # one write per 32 KiB: per-piece writes are slow unbuffered
+        size, batch = 0, []
+        for s in out:
+            batch.append(s)
+            if (size := size + len(s)) >= 32768:
+                sys.stdout.write("".join(batch))
+                size, batch = 0, []
+        sys.stdout.write("".join(batch))
         sys.stdout.flush()
     except BrokenPipeError:
         # stdout closed early (`| head`): the rest goes to devnull, so the

@@ -576,16 +576,19 @@ def minus_shear(fan: Fan) -> Fan:
 
 
 def fan_to_json(fan: Fan) -> dict:
-    """Plain-dict form: rays with both blocks, and every cone, maximal-first,
-    as the sorted tuple of its ray indices (an array in JSON)."""
-    def largest_first(c):
-        return -len(c), c
-
-    maxes = {tuple(sorted(c)) for c in fan.maximal}
-    faces = _face_tuples(fan)
-    faces -= maxes
-    cones = sorted(maxes, key=largest_first)
-    cones += sorted(faces, key=largest_first)
+    """Plain-dict form: rays with both blocks, and every cone as the sorted
+    tuple of its ray indices (an array in JSON): the maximal cones, larger
+    first, then the other faces, larger first, each size in sorted order."""
+    maxes = sorted(tuple(sorted(c)) for c in fan.maximal)
+    cones = sorted(maxes, key=len, reverse=True)
+    # the other faces are the k-subsets of the maximal cones larger than k,
+    # one k at a time: no maximal cone lies in another
+    for k in reversed(range(max(map(len, maxes), default=0))):
+        level = set()
+        for c in maxes:
+            if len(c) > k:
+                level.update(combinations(c, k))
+        cones += sorted(level)
     return {
         "n": fan.n,
         "rays": [

@@ -56,8 +56,10 @@ class TestBatchedOutput:
             (K4_GRAPH, ["fan", "--which", "delta-tilde", "--output", "json"]),
             # 91,000 lines of text, many batches of them
             (K5_GRAPH, ["resolve-report", "--flat", "1", "--subset", "E"]),
+            # 90,525 small dicts, each one piece of the JSON writer
+            (K5_GRAPH, ["resolve-report", "--flat", "1", "--subset", "E", "--output", "json"]),
         ],
-        ids=["k4-delta-tilde-json", "k5-report-text"],
+        ids=["k4-delta-tilde-json", "k5-report-text", "k5-report-json"],
     )
     def test_output_is_written_in_batches(self, tmp_path, monkeypatch, graph, argv):
         path = tmp_path / "in.graph"

@@ -982,7 +982,48 @@ class TestFibreFan:
                 assert frozenset(kept[lbl] for lbl in labels) in fib_cones
 
 
+def cones_largest_first(fan):
+    """fan_to_json's cone order as two sorts keyed by (-len(c), c): the
+    maximal cones, then the other faces."""
+    def largest_first(c):
+        return -len(c), c
+
+    maxes = {tuple(sorted(c)) for c in fan.maximal}
+    faces = {tuple(sorted(c)) for c in fan.cones} - maxes
+    return sorted(maxes, key=largest_first) + sorted(faces, key=largest_first)
+
+
+# fibre fans are not pure: maximal cones of sizes 3 and 4, and of 2 and 4
+NON_PURE_FIBRES = {
+    "K4-E-2345": ("K4", range(1, 7), [2, 3, 4, 5]),
+    "K4-34-2345": ("K4", [3, 4], [2, 3, 4, 5]),
+}
+
+
+def with_rays_reversed(fan):
+    last = len(fan.rays) - 1
+    cones = [frozenset(last - i for i in c) for c in fan.maximal]
+    return Fan(fan.n, fan.rays[::-1], fan.labels[::-1], cones)
+
+
 class TestFanJson:
+    @pytest.mark.parametrize("name", sorted(ORACLE_MATROIDS))
+    def test_delta_tilde_cones_are_listed_largest_first(self, name):
+        fan = delta_tilde_fan(matroid_from_bases(*ORACLE_MATROIDS[name]))
+        assert fan_to_json(fan)["cones"] == cones_largest_first(fan)
+
+    # reversed, the rays put small maximal cones before large ones in
+    # Fan.maximal order
+    @pytest.mark.parametrize("reverse", [False, True], ids=["built", "reversed"])
+    @pytest.mark.parametrize("name", sorted(NON_PURE_FIBRES))
+    def test_non_pure_fibre_cones_are_listed_largest_first(self, name, reverse):
+        matroid, flat, subset = NON_PURE_FIBRES[name]
+        m = matroid_from_bases(*ORACLE_MATROIDS[matroid])
+        fan = fibre_fan(m, mask_of(flat), mask_of(subset))
+        fan = with_rays_reversed(fan) if reverse else fan
+        assert len({len(c) for c in fan.maximal}) == 2
+        assert fan_to_json(fan)["cones"] == cones_largest_first(fan)
+
     def test_round_trip(self, square_chord_bases):
         fan = delta_tilde_fan(square_chord(square_chord_bases))
         data = fan_to_json(fan)

@@ -156,11 +156,19 @@ class TestCommandImports:
     def test_text_output_on_graph_input_skips_json(self, argv):
         loaded_by(*argv, then="assert 'json' not in sys.modules\n")
 
+    def test_text_output_on_json_input_skips_the_writer(self):
+        # json reads the input; the writer is for `--output json` alone
+        loaded = loaded_by(
+            "classes", str(DATA / "u25.bases.json"), then="assert 'json' in sys.modules\n"
+        )
+        assert "jsonwriter" not in loaded
+
     def test_json_output_loads_json(self):
-        loaded_by(
+        loaded = loaded_by(
             "classes", str(DATA / "square_chord.graph"), "--output", "json",
             then="assert 'json' in sys.modules\n",
         )
+        assert "jsonwriter" in loaded
 
     @pytest.mark.parametrize("command", ["matroid-info", "classes"])
     @pytest.mark.parametrize("data", ["square_chord.graph", "u25.bases.json"])
